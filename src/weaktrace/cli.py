@@ -20,18 +20,14 @@ from .pathsum import (
     terminal_amplitudes,
 )
 from .scenario import (
-    BlockingExperiment,
-    PathsExperiment,
-    PointerExperiment,
+    EXPERIMENT_KINDS,
     Scenario,
-    SpectralExperiment,
-    WeakValuesExperiment,
     build_scenario_network,
     default_experiment,
     parse_scenario,
     scenario_doc,
 )
-from .spectra import run_blocking_suite, run_spectral_experiment
+from .spectra import SpectralReport, run_blocking_suite, run_spectral_experiment
 from .weakval import (
     PointerModel,
     pointer_shift_exact,
@@ -93,22 +89,17 @@ def _note(args, message: str):
 
 def _resolve_experiment(scenario: Scenario, command: str, args):
     kind = _SUBCOMMAND_KIND[command]
-    classes = {
-        "paths": PathsExperiment,
-        "weak_values": WeakValuesExperiment,
-        "pointer": PointerExperiment,
-        "spectral": SpectralExperiment,
-        "blocking": BlockingExperiment,
-    }
     exp = scenario.experiment
     if exp is None:
         exp = default_experiment(scenario, kind)
-    elif not isinstance(exp, classes[kind]):
+    elif not isinstance(exp, EXPERIMENT_KINDS[kind]):
         raise SchemaError(
             "$.experiment.kind",
             f"scenario declares a different experiment than subcommand {command!r}",
         )
     if command == "spectrum" and args.seed is not None:
+        if args.seed < 0:
+            raise SchemaError("$.experiment.noise.seed", "seed must be non-negative")
         if exp.noise is not None:
             exp = dataclasses.replace(
                 exp, noise=dataclasses.replace(exp.noise, seed=args.seed)
@@ -118,8 +109,12 @@ def _resolve_experiment(scenario: Scenario, command: str, args):
     return exp
 
 
-def _run(args) -> tuple[dict, list[tuple[str, str]]]:
-    """Execute one subcommand; returns (report document, CSV files)."""
+def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
+    """Execute one subcommand.
+
+    Returns the report document and the spectral reports behind it, each
+    with the prefix of its CSV file names.
+    """
     try:
         text = Path(args.scenario).read_text()
     except OSError as exc:
@@ -143,7 +138,7 @@ def _run(args) -> tuple[dict, list[tuple[str, str]]]:
     scenario = dataclasses.replace(scenario, experiment=exp)
     net = build_scenario_network(scenario.network)
     doc = scenario_doc(scenario)
-    csv_files: list[tuple[str, str]] = []
+    spectral: list[tuple[str, SpectralReport]] = []
 
     if command == "paths":
         ens = enumerate_paths(net, exp.detector)
@@ -171,37 +166,22 @@ def _run(args) -> tuple[dict, list[tuple[str, str]]]:
             net, exp.plan, exp.sigma, noise=exp.noise, detector=exp.detector
         )
         result = reports.spectral_result(report)
-        csv_files = [
-            ("timeseries.csv", reports.timeseries_csv(report.xbar, report.rate)),
-            ("spectrum.csv", reports.spectrum_csv(report.power)),
-        ]
+        spectral = [("", report)]
 
     else:  # block
         suite = run_blocking_suite(
             net, exp.plan, exp.sigma, block_sites=exp.block_sites, detector=exp.detector
         )
         result = reports.blocking_result(suite)
-        for config in suite.configs:
-            csv_files.append(
-                (
-                    f"{config.name}_timeseries.csv",
-                    reports.timeseries_csv(config.report.xbar, config.report.rate),
-                )
-            )
-            csv_files.append(
-                (
-                    f"{config.name}_spectrum.csv",
-                    reports.spectrum_csv(config.report.power),
-                )
-            )
+        spectral = [(f"{config.name}_", config.report) for config in suite.configs]
 
-    return reports.envelope(command, doc, net, result), csv_files
+    return reports.envelope(command, doc, net, result), spectral
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, csv_files = _run(args)
+        doc, spectral = _run(args)
     except WeakTraceError as exc:
         error_doc = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(reports.render_json(error_doc))
@@ -217,12 +197,17 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
 
     if args.csv_dir:
-        if csv_files:
+        if spectral:
             csv_dir = Path(args.csv_dir)
             csv_dir.mkdir(parents=True, exist_ok=True)
-            for name, content in csv_files:
-                (csv_dir / name).write_text(content)
-            _note(args, f"{len(csv_files)} CSV file(s) written to {csv_dir}")
+            for prefix, report in spectral:
+                (csv_dir / f"{prefix}timeseries.csv").write_text(
+                    reports.timeseries_csv(report.xbar, report.rate)
+                )
+                (csv_dir / f"{prefix}spectrum.csv").write_text(
+                    reports.spectrum_csv(report.power)
+                )
+            _note(args, f"{2 * len(spectral)} CSV file(s) written to {csv_dir}")
         else:
             _note(args, "note: --csv-dir ignored, this subcommand emits no CSV")
     return 0

@@ -146,29 +146,30 @@ class Network:
     def outgoing(self) -> dict[tuple[str, int], Arm]:
         return {(a.from_node, a.from_port): a for a in self.arms}
 
-    def incoming(self) -> dict[tuple[str, int], Arm]:
-        return {(a.to_node, a.to_port): a for a in self.arms}
-
     def topological_order(self) -> tuple[Node, ...]:
         """Nodes sorted so every arm points forward.  Assumes acyclicity."""
-        indeg = {n.id: 0 for n in self.nodes}
-        for a in self.arms:
-            indeg[a.to_node] += 1
-        by_id = {n.id: n for n in self.nodes}
-        ready = [n.id for n in self.nodes if indeg[n.id] == 0]
-        out = self.outgoing()
-        order = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(by_id[nid])
-            for port in range(OUT_PORTS[by_id[nid].kind]):
-                arm = out.get((nid, port))
-                if arm is None:
-                    continue
-                indeg[arm.to_node] -= 1
-                if indeg[arm.to_node] == 0:
-                    ready.append(arm.to_node)
-        return tuple(order)
+        return tuple(_kahn_order(self.nodes, self.arms))
+
+
+def _kahn_order(nodes, arms) -> list[Node]:
+    """Kahn's algorithm: nodes ordered so every arm points forward.
+
+    Nodes on or behind a cycle never become ready and are left out, so a
+    result shorter than ``nodes`` means the graph is cyclic.
+    """
+    by_id = {n.id: n for n in nodes}
+    indeg = dict.fromkeys(by_id, 0)
+    out_by_node: dict[str, list[Arm]] = {}
+    for a in arms:
+        indeg[a.to_node] += 1
+        out_by_node.setdefault(a.from_node, []).append(a)
+    order = [n for n in nodes if indeg[n.id] == 0]
+    for node in order:  # the list grows as nodes become ready
+        for a in out_by_node.get(node.id, ()):
+            indeg[a.to_node] -= 1
+            if indeg[a.to_node] == 0:
+                order.append(by_id[a.to_node])
+    return order
 
 
 def _check_unitary(node: Node) -> None:
@@ -278,24 +279,10 @@ def build_network(nodes, arms) -> Network:
     if not detectors:
         raise NetworkError("network has no detector")
 
-    # Kahn's algorithm; anything left over sits on a cycle.
-    indeg = {n.id: 0 for n in nodes}
-    for a in arms:
-        indeg[a.to_node] += 1
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    visited = 0
-    out_by_node: dict[str, list[Arm]] = {}
-    for a in arms:
-        out_by_node.setdefault(a.from_node, []).append(a)
-    while ready:
-        nid = ready.pop()
-        visited += 1
-        for a in out_by_node.get(nid, ()):
-            indeg[a.to_node] -= 1
-            if indeg[a.to_node] == 0:
-                ready.append(a.to_node)
-    if visited != len(nodes):
-        stuck = sorted(nid for nid, d in indeg.items() if d > 0)
+    order = _kahn_order(nodes, arms)
+    if len(order) != len(nodes):
+        placed = {n.id for n in order}
+        stuck = sorted(n.id for n in nodes if n.id not in placed)
         raise CyclicGraphError(f"cycle through nodes {stuck}")
 
     return Network(nodes=nodes, arms=arms, source=sources[0].id, detectors=detectors)

@@ -143,23 +143,29 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
     """
     target = resolve_detector(net, detector)
     outgoing = net.outgoing()
+    by_id = {n.id: n for n in net.nodes}
     paths: list[Path] = []
 
-    def walk(node_id, in_port, amp, arms_so_far, sites_so_far, blocked):
-        node = net.node(node_id)
+    # depth-first walk; each entry is a partial route arriving at a node:
+    # (node id, input port, amplitude, arm ids, site labels, blocked)
+    stack = [(net.source, 0, 1.0 + 0j, (), (), False)]
+    while stack:
+        node_id, in_port, amp, arms_so_far, sites_so_far, blocked = stack.pop()
+        node = by_id[node_id]
         if node.kind == DETECTOR:
             if node_id == target:
                 paths.append(
                     Path(
-                        arms=tuple(arms_so_far),
-                        sites=tuple(sites_so_far),
+                        arms=arms_so_far,
+                        sites=sites_so_far,
                         amplitude=amp if not blocked else 0j,
                         blocked=blocked,
                     )
                 )
-            return
+            continue
         if node.kind == SINK:
-            return
+            continue
+        hops = []
         for port in range(OUT_PORTS[node.kind]):
             if node.kind == SOURCE:
                 out_amp, out_blocked = amp, blocked
@@ -174,17 +180,19 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
             else:  # BLOCK
                 out_amp, out_blocked = 0j, True
             arm = outgoing[(node_id, port)]
-            hop_blocked = out_blocked or arm.transmission == 0.0
-            walk(
-                arm.to_node,
-                arm.to_port,
-                out_amp * arm.factor(),
-                arms_so_far + [arm.id],
-                sites_so_far + ([arm.label] if arm.label is not None else []),
-                hop_blocked,
+            hops.append(
+                (
+                    arm.to_node,
+                    arm.to_port,
+                    out_amp * arm.factor(),
+                    arms_so_far + (arm.id,),
+                    sites_so_far + ((arm.label,) if arm.label is not None else ()),
+                    out_blocked or arm.transmission == 0.0,
+                )
             )
+        # pushed in reverse so output port 0 is explored first
+        stack.extend(reversed(hops))
 
-    walk(net.source, 0, 1.0 + 0j, [], [], False)
     total = sum((p.amplitude for p in paths), 0j)
     return PathEnsemble(
         source=net.source,

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import SchemaError
+from .errors import SchemaError, UnknownLabelError
 from .netgraph import (
     NODE_KINDS,
     Arm,
@@ -32,10 +32,12 @@ from .netgraph import (
 )
 from .spectra import (
     DEFAULT_SAMPLES,
+    STANDARD_BLOCK_SITES,
     ModulationPlan,
     NoiseModel,
     SiteModulation,
     default_plan,
+    plan_from_network,
 )
 
 STANDARD_SPLITTERS = ("BS1", "BS2", "BS3", "BS4")
@@ -82,7 +84,7 @@ class SpectralExperiment:
 class BlockingExperiment:
     sigma: float
     plan: ModulationPlan
-    block_sites: tuple[str, ...] = ("E", "F")
+    block_sites: tuple[str, ...] = STANDARD_BLOCK_SITES
     detector: str | None = None
 
 
@@ -294,23 +296,23 @@ def _default_spectral_plan(network: NetworkSection, samples: int, path: str) -> 
     """
     if network.kind == "standard":
         return default_plan(samples=samples)
-    site_mods = []
-    for arm in network.arms:
-        if arm.modulation is None:
-            continue
-        if arm.label is None:
-            raise SchemaError(path, f"modulated arm {arm.id!r} has no site label")
-        site_mods.append(SiteModulation(arm.label, arm.modulation.delta, arm.modulation.bin))
-    if not site_mods:
+    try:
+        plan = plan_from_network(network, samples)
+    except (UnknownLabelError, ValueError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+    if not plan.sites:
         raise SchemaError(
             path,
             "a custom network needs an explicit plan or arm modulations",
         )
-    site_mods.sort(key=lambda sm: sm.site)
-    try:
-        return ModulationPlan(sites=tuple(site_mods), samples=samples)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return plan
+
+
+def _default_block_sites(network: NetworkSection, plan: ModulationPlan) -> tuple[str, ...]:
+    """The standard network's dark arms; on a custom network, the probed sites."""
+    if network.kind == "standard":
+        return STANDARD_BLOCK_SITES
+    return tuple(sm.site for sm in plan.sites)
 
 
 def _parse_noise(value, path: str) -> NoiseModel:
@@ -386,7 +388,7 @@ def _parse_experiment(value, path: str, network: NetworkSection) -> Experiment:
     block_sites = (
         _string_list(obj["block_sites"], f"{path}.block_sites")
         if "block_sites" in obj
-        else ("E", "F")
+        else _default_block_sites(network, plan)
     )
     if not block_sites:
         raise SchemaError(f"{path}.block_sites", "must name at least one site")
@@ -421,7 +423,9 @@ def default_experiment(scenario: Scenario, kind: str) -> Experiment:
         return SpectralExperiment(sigma=1.0, plan=plan, noise=None)
     if kind == "blocking":
         plan = _default_spectral_plan(scenario.network, DEFAULT_SAMPLES, "$.experiment.plan")
-        return BlockingExperiment(sigma=1.0, plan=plan)
+        return BlockingExperiment(
+            sigma=1.0, plan=plan, block_sites=_default_block_sites(scenario.network, plan)
+        )
     if kind == "pointer":
         raise SchemaError(
             "$.experiment", "a pointer experiment section is required (no default site)"

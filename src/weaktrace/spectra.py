@@ -6,8 +6,9 @@ reading, sampled over one period of the slow drive, is Fourier analyzed;
 a site leaves a peak at its bin with power proportional to the square of
 (coupling times the real part of its weak value), to leading order.
 
-The transform is a self-contained radix-2 FFT so that spectra are
-bit-reproducible across numpy builds; sample counts are powers of two.
+The transform is numpy's real FFT over a power-of-two sample count.
+Identical inputs give bit-identical spectra on one numpy build; other
+builds may differ in the last digits of the powers.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .errors import DegeneratePointerError, UnknownLabelError
 from .netgraph import Network, apply_block
 from .pathsum import enumerate_paths, propagate, resolve_detector
+from .weakval import DEGENERATE_NORM_TOL
 
-DEGENERATE_NORM_TOL = 1e-14
 ABSENT_POWER_TOL = 1e-20
 NOISE_FLOOR_FACTOR = 5.0
 
@@ -31,6 +32,8 @@ ABSENT = "absent"
 
 DEFAULT_SITE_BINS = (("A", 13), ("B", 17), ("C", 19), ("E", 23), ("F", 29))
 DEFAULT_SAMPLES = 4096
+# the standard network's dark arms, blocked one at a time by default
+STANDARD_BLOCK_SITES = ("E", "F")
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,6 @@ class ModulationPlan:
             if not (math.isfinite(sm.delta) and sm.delta >= 0.0):
                 raise ValueError(f"depth {sm.delta!r} for site {sm.site!r} invalid")
 
-    def bin_of(self, site: str) -> int:
-        for sm in self.sites:
-            if sm.site == site:
-                return sm.bin
-        raise KeyError(site)
-
 
 def default_plan(delta: float = 0.01, samples: int = DEFAULT_SAMPLES) -> ModulationPlan:
     """Equal-depth probes on the five standard sites at spread-out bins."""
@@ -92,8 +89,9 @@ def default_plan(delta: float = 0.01, samples: int = DEFAULT_SAMPLES) -> Modulat
 def plan_from_network(net: Network, samples: int = DEFAULT_SAMPLES) -> ModulationPlan:
     """Collect per-arm modulations declared on the network into a plan.
 
-    Every modulated arm must carry a site label, since the plan (and the
-    spectral report) addresses probes by site.
+    Only ``net.arms`` is read.  Every modulated arm must carry a site
+    label, since the plan (and the spectral report) addresses probes by
+    site.
     """
     site_mods = []
     for arm in net.arms:
@@ -180,27 +178,6 @@ def readout_timeseries(
     return xbar, rate
 
 
-def _fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time transform; len(x) a power of two."""
-    n = x.size
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    a = np.asarray(x, dtype=complex)[rev]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(-1, size)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * tw
-        a = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
-        size *= 2
-    return a
-
-
 def spectrum(series) -> np.ndarray:
     """One-sided power spectrum of a real series of power-of-two length.
 
@@ -212,7 +189,7 @@ def spectrum(series) -> np.ndarray:
     n = series.size
     if n < 4 or n & (n - 1):
         raise ValueError(f"series length {n} is not a power of two >= 4")
-    coeff = _fft_radix2(series.astype(complex))
+    coeff = np.fft.rfft(series)
     power = np.abs(coeff[: n // 2]) ** 2 * (2.0 / n) ** 2
     power[0] = 0.0
     return power
@@ -341,7 +318,7 @@ def run_blocking_suite(
     net: Network,
     plan: ModulationPlan,
     sigma: float = 1.0,
-    block_sites=("E", "F"),
+    block_sites=STANDARD_BLOCK_SITES,
     detector: str | None = None,
 ) -> BlockingSuite:
     """Baseline spectrum plus one rerun per blocked site, noise free.

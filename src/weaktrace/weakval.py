@@ -23,6 +23,8 @@ from .errors import DegeneratePointerError, UnknownLabelError, VanishingTotalErr
 from .pathsum import PathEnsemble
 
 VANISHING_TOTAL_TOL = 1e-14
+# smallest post-selected pointer norm (or spectral detection rate) that
+# still defines a mean reading
 DEGENERATE_NORM_TOL = 1e-14
 
 
@@ -43,22 +45,25 @@ def relative_amplitudes(ens: PathEnsemble) -> np.ndarray:
 
 def projector_weak_value(ens: PathEnsemble, site: str) -> complex:
     """Weak value of the projector onto the routes through ``site``."""
-    if site not in ens.known_sites:
-        raise UnknownLabelError(f"no arm carries site label {site!r}")
-    alphas = relative_amplitudes(ens)
-    return complex(
-        sum(a for a, p in zip(alphas, ens.paths) if site in p.sites)
-    )
+    return weak_values(ens, [site])[site]
 
 
 def weak_values(ens: PathEnsemble, sites=None) -> dict[str, complex]:
     """Projector weak values for several sites at once.
 
-    ``sites`` defaults to every labeled site in the network, sorted.
+    ``sites`` defaults to every labeled site in the network, sorted.  The
+    relative amplitudes are computed once and shared by all sites.
     """
     if sites is None:
         sites = sorted(ens.known_sites)
-    return {s: projector_weak_value(ens, s) for s in sites}
+    for site in sites:
+        if site not in ens.known_sites:
+            raise UnknownLabelError(f"no arm carries site label {site!r}")
+    alphas = relative_amplitudes(ens)
+    return {
+        site: complex(sum(a for a, p in zip(alphas, ens.paths) if site in p.sites))
+        for site in sites
+    }
 
 
 def weak_observable(alphas, eigenvalues) -> complex:
@@ -120,8 +125,6 @@ def pointer_shift_exact(ens: PathEnsemble, model: PointerModel) -> float:
 
     Raises DegeneratePointerError when the post-selected norm vanishes.
     """
-    if model.site not in ens.known_sites:
-        raise UnknownLabelError(f"no arm carries site label {model.site!r}")
     a1 = ens.site_amplitude(model.site)
     a0 = ens.total - a1
     g = model.coupling

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from weaktrace import reports
 from weaktrace.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 STD = '{"network": "standard"}\n'
 
@@ -262,3 +266,69 @@ def test_scenario_echo_reparses_to_same_run(tmp_path, capsys):
     code2, out2, _ = run(capsys, ["spectrum", scn2])
     assert code2 == 0
     assert json.loads(out2)["result"] == doc["result"]
+
+
+def test_spectrum_without_csv_dir_builds_no_csv(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("CSV text built without --csv-dir")
+
+    monkeypatch.setattr(reports, "timeseries_csv", fail)
+    monkeypatch.setattr(reports, "spectrum_csv", fail)
+    scn = write(tmp_path, "std.json", STD)
+    for command in ("spectrum", "block"):
+        code, _, _ = run(capsys, [command, scn])
+        assert code == 0
+
+
+def test_negative_seed_flag_is_schema_error(tmp_path, capsys):
+    scn = write(tmp_path, "noisy.json", SPECTRAL_NOISY)
+    code, out, err = run(capsys, ["spectrum", scn, "--seed", "-3"])
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "schema_error"
+    assert doc["message"].startswith("$.experiment.noise.seed:")
+
+
+def test_block_on_custom_network_defaults_to_plan_sites(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "custom_mzi.json").read_text())
+    del doc["experiment"]
+    scn = write(tmp_path, "custom.json", json.dumps(doc))
+    code, out, _ = run(capsys, ["block", scn])
+    assert code == 0
+    configs = json.loads(out)["result"]["configs"]
+    assert [c["name"] for c in configs] == ["baseline", "block_X", "block_Y"]
+
+
+def mirror_chain_scenario(mirrors: int) -> dict:
+    nodes = [{"id": "SRC", "kind": "source"}]
+    nodes += [{"id": f"M{i}", "kind": "mirror"} for i in range(mirrors)]
+    nodes.append({"id": "D", "kind": "detector"})
+    ids = [n["id"] for n in nodes]
+    arms = [
+        {"id": f"a{i}", "from": [u, 0], "to": [v, 0]}
+        for i, (u, v) in enumerate(zip(ids, ids[1:]))
+    ]
+    arms[mirrors // 2]["label"] = "X"
+    return {
+        "network": {"kind": "custom", "nodes": nodes, "arms": arms},
+        "experiment": {"kind": "pointer", "site": "X"},
+    }
+
+
+def test_chain_deeper_than_recursion_limit(tmp_path, capsys):
+    doc = mirror_chain_scenario(1500)
+    with_pointer = write(tmp_path, "chain_pointer.json", json.dumps(doc))
+    del doc["experiment"]
+    bare = write(tmp_path, "chain.json", json.dumps(doc))
+    for command, scn in (("paths", bare), ("weak", bare), ("pointer", with_pointer)):
+        code, out, _ = run(capsys, [command, scn])
+        assert code == 0, command
+        result = json.loads(out)["result"]
+        if command == "paths":
+            assert len(result["paths"]) == 1
+            assert len(result["paths"][0]["arms"]) == 1501
+        elif command == "weak":
+            assert result["weak_values"]["X"] == {"re": 1, "im": 0}
+        else:
+            assert result["weak_value"] == {"re": 1, "im": 0}

@@ -88,7 +88,8 @@ def test_feedback_loop_rejected():
         Arm("loop_back", "M", 0, "BS", 1),
         Arm("out", "BS", 1, "D", 0),
     ]
-    with pytest.raises(CyclicGraphError):
+    # D sits behind the cycle and is reported with it
+    with pytest.raises(CyclicGraphError, match=r"cycle through nodes \['BS', 'D', 'M'\]"):
         build_network(nodes, arms)
 
 

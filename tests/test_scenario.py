@@ -267,6 +267,24 @@ def test_blocking_defaults():
     assert parse_scenario(json.dumps(scenario_doc(sc))) == sc
 
 
+def test_custom_blocking_defaults_to_plan_sites():
+    doc = json.loads(json.dumps(CUSTOM_DARK_PORT))
+    doc["experiment"] = {"kind": "blocking"}
+    sc = parse_scenario(json.dumps(doc))
+    assert sc.experiment.block_sites == ("X",)
+    bare = parse_scenario(json.dumps(CUSTOM_DARK_PORT))
+    assert default_experiment(bare, "blocking").block_sites == ("X",)
+
+
+def test_unlabeled_modulated_arm_is_schema_error():
+    doc = json.loads(json.dumps(CUSTOM_DARK_PORT))
+    del doc["network"]["arms"][1]["label"]
+    doc["experiment"] = {"kind": "spectral"}
+    with pytest.raises(SchemaError, match="modulated arm 'X' has no site label") as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.path == "$.experiment.plan"
+
+
 def test_blocking_rejects_noise_key():
     with pytest.raises(SchemaError) as err:
         parse_scenario(

@@ -18,6 +18,7 @@ from weaktrace import (
     relative_amplitudes,
     weak_observable,
     weak_values,
+    weakval,
 )
 from weaktrace.errors import (
     DegeneratePointerError,
@@ -59,6 +60,17 @@ def test_weak_values_partition_sums(std_ens):
     # every path passes exactly one of {A, B, C}, and one of {E, C}
     assert w["A"] + w["B"] + w["C"] == pytest.approx(1.0, abs=1e-12)
     assert w["E"] + w["C"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weak_values_normalise_once(std_ens, monkeypatch):
+    calls = []
+    real = weakval.relative_amplitudes
+    monkeypatch.setattr(weakval, "relative_amplitudes", lambda ens: calls.append(1) or real(ens))
+    w = weak_values(std_ens)
+    assert len(calls) == 1
+    assert w == {s: projector_weak_value(std_ens, s) for s in sorted(std_ens.known_sites)}
+    with pytest.raises(UnknownLabelError):
+        weak_values(std_ens, ["A", "Q"])
 
 
 def test_unknown_site(std_ens):
