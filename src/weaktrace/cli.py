@@ -2,7 +2,8 @@
 
 Subcommands take a scenario JSON file and write a report document to
 stdout or --out.  Exit codes: 0 success, 2 malformed scenario (or
-unreadable input), 3 invalid network, 4 numeric degeneracy.
+unreadable input), 3 invalid network (or too many routes to list),
+4 numeric degeneracy (or a non-finite result).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import reports
 from .errors import SchemaError, WeakTraceError
@@ -36,13 +39,14 @@ from .weakval import (
     weak_values,
 )
 
-_SUBCOMMAND_KIND = {
-    "validate": None,
-    "paths": "paths",
-    "weak": "weak_values",
-    "pointer": "pointer",
-    "spectrum": "spectral",
-    "block": "blocking",
+# subcommand: (experiment kind, help text)
+_SUBCOMMANDS = {
+    "validate": (None, "parse a scenario and validate its network"),
+    "paths": ("paths", "enumerate source-to-detector paths and amplitudes"),
+    "weak": ("weak_values", "relative amplitudes and projector weak values"),
+    "pointer": ("pointer", "exact Gaussian pointer shifts at one site"),
+    "spectrum": ("spectral", "frequency-multiplexed weak-trace spectrum"),
+    "block": ("blocking", "spectral suite with arms blocked one at a time"),
 }
 
 
@@ -55,29 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("validate", "parse a scenario and validate its network"),
-        ("paths", "enumerate source-to-detector paths and amplitudes"),
-        ("weak", "relative amplitudes and projector weak values"),
-        ("pointer", "exact Gaussian pointer shifts at one site"),
-        ("spectrum", "frequency-multiplexed weak-trace spectrum"),
-        ("block", "spectral suite with arms blocked one at a time"),
-    ]
-    for name, help_text in specs:
+    for name, (kind, help_text) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-        p.add_argument(
-            "--csv-dir",
-            metavar="DIR",
-            help="also write time-series/spectrum CSV files (spectrum and block only)",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            metavar="N",
-            help="override the scenario noise seed (spectrum only)",
-        )
+        if kind in ("spectral", "blocking"):
+            p.add_argument(
+                "--csv-dir", metavar="DIR", help="also write time-series and spectrum CSV files"
+            )
+        if kind == "spectral":
+            p.add_argument(
+                "--seed", type=int, metavar="N", help="override the scenario noise seed"
+            )
         p.add_argument("--quiet", action="store_true", help="suppress status notes on stderr")
     return parser
 
@@ -88,7 +81,7 @@ def _note(args, message: str):
 
 
 def _resolve_experiment(scenario: Scenario, command: str, args):
-    kind = _SUBCOMMAND_KIND[command]
+    kind = _SUBCOMMANDS[command][0]
     exp = scenario.experiment
     if exp is None:
         exp = default_experiment(scenario, kind)
@@ -127,10 +120,7 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
         arm_amp = arm_input_amplitudes(net)
         result = {
             "valid": True,
-            "arm_input_amplitudes": {
-                a.id: {"re": arm_amp[a.id].real, "im": arm_amp[a.id].imag}
-                for a in net.arms
-            },
+            "arm_input_amplitudes": {a.id: arm_amp[a.id] for a in net.arms},
         }
         return reports.envelope(command, scenario_doc(scenario), net, result), []
 
@@ -181,13 +171,16 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, spectral = _run(args)
+        # a NaN or inf ends as a non_finite_result error document when the
+        # report is rendered, so numpy's warnings would only garble stderr
+        with np.errstate(all="ignore"):
+            doc, spectral = _run(args)
+            text = reports.render_json(doc)
     except WeakTraceError as exc:
         error_doc = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(reports.render_json(error_doc))
         return exc.exit_code
 
-    text = reports.render_json(doc)
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -196,20 +189,16 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
 
-    if args.csv_dir:
-        if spectral:
-            csv_dir = Path(args.csv_dir)
-            csv_dir.mkdir(parents=True, exist_ok=True)
-            for prefix, report in spectral:
-                (csv_dir / f"{prefix}timeseries.csv").write_text(
-                    reports.timeseries_csv(report.xbar, report.rate)
-                )
-                (csv_dir / f"{prefix}spectrum.csv").write_text(
-                    reports.spectrum_csv(report.power)
-                )
-            _note(args, f"{2 * len(spectral)} CSV file(s) written to {csv_dir}")
-        else:
-            _note(args, "note: --csv-dir ignored, this subcommand emits no CSV")
+    # only spectrum and block return spectral reports, and only they take --csv-dir
+    if spectral and args.csv_dir:
+        csv_dir = Path(args.csv_dir)
+        csv_dir.mkdir(parents=True, exist_ok=True)
+        for prefix, report in spectral:
+            (csv_dir / f"{prefix}timeseries.csv").write_text(
+                reports.timeseries_csv(report.xbar, report.rate)
+            )
+            (csv_dir / f"{prefix}spectrum.csv").write_text(reports.spectrum_csv(report.power))
+        _note(args, f"{2 * len(spectral)} CSV file(s) written to {csv_dir}")
     return 0
 
 

@@ -53,6 +53,12 @@ class UnknownLabelError(NetworkError):
     code = "unknown_label"
 
 
+class TooManyRoutesError(NetworkError):
+    """Route enumeration passed its step bound; the routes are too many to list."""
+
+    code = "too_many_routes"
+
+
 class VanishingTotalError(WeakTraceError):
     """The summed detection amplitude is too small to normalize against."""
 
@@ -63,6 +69,12 @@ class DegeneratePointerError(WeakTraceError):
     """The post-selected pointer norm is numerically zero."""
 
     code = "degenerate_pointer"
+
+
+class NonFiniteResultError(WeakTraceError):
+    """A computed value is NaN or infinite and cannot go into a report."""
+
+    code = "non_finite_result"
 
 
 class SchemaError(WeakTraceError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownLabelError
+from .errors import TooManyRoutesError, UnknownLabelError
 from .netgraph import (
     BEAM_SPLITTER,
     BLOCK,
@@ -22,6 +22,10 @@ from .netgraph import (
     SOURCE,
     Network,
 )
+
+# bound on the depth-first steps of one enumeration; routes double with
+# every cascaded splitter, so this keeps `paths` from running unbounded
+MAX_ROUTE_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,15 @@ class PathEnsemble:
     total: complex
     known_sites: frozenset[str]
 
+    def require_sites(self, sites) -> None:
+        """Raise UnknownLabelError for the first site no arm carries."""
+        for site in sites:
+            if site not in self.known_sites:
+                raise UnknownLabelError(f"no arm carries site label {site!r}")
+
     def site_amplitude(self, site: str) -> complex:
         """Summed amplitude of the routes passing through a site."""
-        if site not in self.known_sites:
-            raise UnknownLabelError(f"no arm carries site label {site!r}")
+        self.require_sites([site])
         return sum((p.amplitude for p in self.paths if site in p.sites), 0j)
 
 
@@ -128,7 +137,8 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
 
     Routes through absorbers (block nodes or zero-transmission arms) are
     kept, flagged as blocked, and carry amplitude exactly zero, so the
-    geometric path set is independent of which arms are blocked.
+    geometric path set is independent of which arms are blocked.  The walk
+    raises TooManyRoutesError after ``MAX_ROUTE_STEPS`` steps.
 
     Parameters
     ----------
@@ -149,7 +159,14 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
     # depth-first walk; each entry is a partial route arriving at a node:
     # (node id, input port, amplitude, arm ids, site labels, blocked)
     stack = [(net.source, 0, 1.0 + 0j, (), (), False)]
+    steps = 0
     while stack:
+        steps += 1
+        if steps > MAX_ROUTE_STEPS:
+            raise TooManyRoutesError(
+                f"route enumeration passed {MAX_ROUTE_STEPS} steps "
+                f"with {len(paths)} routes found; the network has too many routes to list"
+            )
         node_id, in_port, amp, arms_so_far, sites_so_far, blocked = stack.pop()
         node = by_id[node_id]
         if node.kind == DETECTOR:

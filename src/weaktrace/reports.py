@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import NonFiniteResultError
 from .netgraph import Network
 from .pathsum import PathEnsemble
 from .spectra import BlockingSuite, SpectralReport
@@ -24,8 +25,8 @@ FLOAT_FORMAT = ".17g"
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports cannot carry NaN or infinite values")
+    if not math.isfinite(x):
+        raise NonFiniteResultError(f"the result holds a non-finite value ({x!r})")
     return format(x, FLOAT_FORMAT)
 
 
@@ -96,10 +97,6 @@ def envelope(command: str, scenario_document: dict, net: Network, result: dict) 
     }
 
 
-def _amp_doc(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def paths_result(ens: PathEnsemble, terminals: dict[str, complex]) -> dict:
     return {
         "detector": ens.detector,
@@ -107,15 +104,15 @@ def paths_result(ens: PathEnsemble, terminals: dict[str, complex]) -> dict:
             {
                 "arms": list(p.arms),
                 "sites": list(p.sites),
-                "amplitude": _amp_doc(p.amplitude),
+                "amplitude": p.amplitude,
                 "blocked": p.blocked,
             }
             for p in ens.paths
         ],
-        "total": _amp_doc(ens.total),
+        "total": ens.total,
         "probability": abs(ens.total) ** 2,
         "terminals": {
-            t: {"amplitude": _amp_doc(a), "probability": abs(a) ** 2}
+            t: {"amplitude": a, "probability": abs(a) ** 2}
             for t, a in sorted(terminals.items())
         },
         "terminal_probability_sum": sum(abs(a) ** 2 for a in terminals.values()),
@@ -125,17 +122,17 @@ def paths_result(ens: PathEnsemble, terminals: dict[str, complex]) -> dict:
 def weak_result(ens: PathEnsemble, alphas, values: dict[str, complex]) -> dict:
     return {
         "detector": ens.detector,
-        "total": _amp_doc(ens.total),
+        "total": ens.total,
         "probability": abs(ens.total) ** 2,
         "paths": [
             {
                 "sites": list(p.sites),
-                "amplitude": _amp_doc(p.amplitude),
-                "relative_amplitude": _amp_doc(complex(a)),
+                "amplitude": p.amplitude,
+                "relative_amplitude": a,
             }
             for p, a in zip(ens.paths, alphas)
         ],
-        "weak_values": {site: _amp_doc(v) for site, v in values.items()},
+        "weak_values": values,
     }
 
 
@@ -150,7 +147,7 @@ def pointer_result(
         "detector": detector,
         "site": site,
         "sigma": sigma,
-        "weak_value": _amp_doc(weak_value),
+        "weak_value": weak_value,
         "readings": [
             {
                 "coupling": g,
@@ -162,7 +159,7 @@ def pointer_result(
     }
 
 
-def _spectral_doc(report: SpectralReport) -> dict:
+def spectral_result(report: SpectralReport) -> dict:
     return {
         "detector": report.detector,
         "sigma": report.sigma,
@@ -182,10 +179,6 @@ def _spectral_doc(report: SpectralReport) -> dict:
     }
 
 
-def spectral_result(report: SpectralReport) -> dict:
-    return _spectral_doc(report)
-
-
 def blocking_result(suite: BlockingSuite) -> dict:
     configs = []
     for c in suite.configs:
@@ -194,7 +187,7 @@ def blocking_result(suite: BlockingSuite) -> dict:
             "blocked_site": c.blocked_site,
             "static_probability": c.static_probability,
         }
-        doc.update(_spectral_doc(c.report))
+        doc.update(spectral_result(c.report))
         configs.append(doc)
     return {"configs": configs}
 

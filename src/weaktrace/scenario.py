@@ -308,13 +308,6 @@ def _default_spectral_plan(network: NetworkSection, samples: int, path: str) -> 
     return plan
 
 
-def _default_block_sites(network: NetworkSection, plan: ModulationPlan) -> tuple[str, ...]:
-    """The standard network's dark arms; on a custom network, the probed sites."""
-    if network.kind == "standard":
-        return STANDARD_BLOCK_SITES
-    return tuple(sm.site for sm in plan.sites)
-
-
 def _parse_noise(value, path: str) -> NoiseModel:
     obj = _object(value, path)
     _check_keys(obj, path, {"std", "seed"}, {"std"})
@@ -385,11 +378,13 @@ def _parse_experiment(value, path: str, network: NetworkSection) -> Experiment:
         noise = _parse_noise(obj["noise"], f"{path}.noise") if "noise" in obj else None
         return SpectralExperiment(sigma=sigma, plan=plan, noise=noise, detector=detector)
 
-    block_sites = (
-        _string_list(obj["block_sites"], f"{path}.block_sites")
-        if "block_sites" in obj
-        else _default_block_sites(network, plan)
-    )
+    # the standard network's dark arms; on a custom network, the probed sites
+    if "block_sites" in obj:
+        block_sites = _string_list(obj["block_sites"], f"{path}.block_sites")
+    elif network.kind == "standard":
+        block_sites = STANDARD_BLOCK_SITES
+    else:
+        block_sites = tuple(sm.site for sm in plan.sites)
     if not block_sites:
         raise SchemaError(f"{path}.block_sites", "must name at least one site")
     return BlockingExperiment(
@@ -413,24 +408,16 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def default_experiment(scenario: Scenario, kind: str) -> Experiment:
-    """The experiment a bare scenario implies for a given subcommand."""
-    if kind == "paths":
-        return PathsExperiment()
-    if kind == "weak_values":
-        return WeakValuesExperiment()
-    if kind == "spectral":
-        plan = _default_spectral_plan(scenario.network, DEFAULT_SAMPLES, "$.experiment.plan")
-        return SpectralExperiment(sigma=1.0, plan=plan, noise=None)
-    if kind == "blocking":
-        plan = _default_spectral_plan(scenario.network, DEFAULT_SAMPLES, "$.experiment.plan")
-        return BlockingExperiment(
-            sigma=1.0, plan=plan, block_sites=_default_block_sites(scenario.network, plan)
-        )
+    """The experiment a bare scenario implies for a given subcommand.
+
+    It is the parse of a section that names only the kind, so every
+    default has one owner, ``_parse_experiment``.
+    """
     if kind == "pointer":
         raise SchemaError(
             "$.experiment", "a pointer experiment section is required (no default site)"
         )
-    raise KeyError(kind)
+    return _parse_experiment({"kind": kind}, "$.experiment", scenario.network)
 
 
 def build_scenario_network(section: NetworkSection) -> Network:
@@ -489,42 +476,22 @@ def _network_doc(section: NetworkSection) -> dict:
 
 
 def _experiment_doc(exp: Experiment) -> dict:
-    if isinstance(exp, PathsExperiment):
-        doc: dict = {"kind": "paths"}
-    elif isinstance(exp, WeakValuesExperiment):
-        doc = {"kind": "weak_values"}
-        if exp.sites is not None:
-            doc["sites"] = list(exp.sites)
-    elif isinstance(exp, PointerExperiment):
-        doc = {
-            "kind": "pointer",
-            "site": exp.site,
-            "sigma": exp.sigma,
-            "couplings": list(exp.couplings),
-        }
-    elif isinstance(exp, SpectralExperiment):
-        doc = {
-            "kind": "spectral",
-            "sigma": exp.sigma,
-            "samples": exp.plan.samples,
-            "plan": {
-                sm.site: {"delta": sm.delta, "bin": sm.bin} for sm in exp.plan.sites
-            },
-        }
-        if exp.noise is not None:
+    kind = next(k for k, cls in EXPERIMENT_KINDS.items() if type(exp) is cls)
+    doc: dict = {"kind": kind}
+    if kind == "weak_values" and exp.sites is not None:
+        doc["sites"] = list(exp.sites)
+    elif kind == "pointer":
+        doc.update(site=exp.site, sigma=exp.sigma, couplings=list(exp.couplings))
+    elif kind in ("spectral", "blocking"):
+        doc.update(
+            sigma=exp.sigma,
+            samples=exp.plan.samples,
+            plan={sm.site: {"delta": sm.delta, "bin": sm.bin} for sm in exp.plan.sites},
+        )
+        if kind == "blocking":
+            doc["block_sites"] = list(exp.block_sites)
+        elif exp.noise is not None:
             doc["noise"] = {"std": exp.noise.std, "seed": exp.noise.seed}
-    elif isinstance(exp, BlockingExperiment):
-        doc = {
-            "kind": "blocking",
-            "sigma": exp.sigma,
-            "samples": exp.plan.samples,
-            "plan": {
-                sm.site: {"delta": sm.delta, "bin": sm.bin} for sm in exp.plan.sites
-            },
-            "block_sites": list(exp.block_sites),
-        }
-    else:
-        raise TypeError(f"not an experiment: {exp!r}")
     if exp.detector is not None:
         doc["detector"] = exp.detector
     return doc

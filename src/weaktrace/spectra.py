@@ -131,9 +131,7 @@ def readout_timeseries(
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ValueError(f"pointer width must be positive, got {sigma!r}")
     ens = enumerate_paths(net, detector)
-    for sm in plan.sites:
-        if sm.site not in ens.known_sites:
-            raise UnknownLabelError(f"no arm carries site label {sm.site!r}")
+    ens.require_sites(sm.site for sm in plan.sites)
 
     n = plan.samples
     amps = np.array([p.amplitude for p in ens.paths], dtype=complex)
@@ -149,14 +147,12 @@ def readout_timeseries(
     bins = np.array([sm.bin for sm in plan.sites], dtype=float)
 
     k = np.arange(n, dtype=float)
-    # per-site displacement waveforms, shape (n, n_sites)
-    waves = (deltas * sigma)[None, :] * np.sin(
-        2.0 * np.pi * bins[None, :] * k[:, None] / n
-    )
+    # per-site displacement waveforms in units of sigma, shape (n, n_sites);
+    # the overlaps depend only on these, and xbar is scaled back at the end
+    waves = deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
     disp = waves @ member.T  # (n, n_paths)
 
     weights = np.real(np.outer(amps, amps.conj()))  # symmetric, (P, P)
-    inv8s2 = 1.0 / (8.0 * sigma**2)
 
     xbar = np.empty(n)
     rate = np.empty(n)
@@ -164,7 +160,7 @@ def readout_timeseries(
     for lo in range(0, n, step):
         d = disp[lo : lo + step]
         diff = d[:, :, None] - d[:, None, :]
-        ov = np.exp(-(diff**2) * inv8s2)
+        ov = np.exp(-(diff**2) * 0.125)
         mid = 0.5 * (d[:, :, None] + d[:, None, :])
         rate[lo : lo + step] = np.einsum("ij,kij->k", weights, ov)
         xbar[lo : lo + step] = np.einsum("ij,kij->k", weights, mid * ov)
@@ -175,6 +171,7 @@ def readout_timeseries(
             f"{DEGENERATE_NORM_TOL:g}; pointer mean is undefined there"
         )
     xbar /= rate
+    xbar *= sigma
     return xbar, rate
 
 
@@ -252,10 +249,11 @@ def run_spectral_experiment(
     """Drive the plan, Fourier analyze the reading, classify the peaks.
 
     The noise floor is five times the median power over all interior bins
-    not assigned to a probe.  A site peak clearly above the floor is
-    ``strong``; below machine-level power (1e-20) it is ``absent``; in
-    between it is ``below_threshold``, present in principle but not
-    resolvable against this noise background.
+    not assigned to a probe, but never below machine-level power (1e-20),
+    so a noise-free run reports exactly 1e-20 rather than a multiple of
+    roundoff.  A site peak above the floor is ``strong``; below 1e-20 it
+    is ``absent``; in between it is ``below_threshold``, present in
+    principle but not resolvable against this noise background.
     """
     target = resolve_detector(net, detector)
     xbar, rate = readout_timeseries(net, plan, sigma, target)
@@ -269,7 +267,8 @@ def run_spectral_experiment(
         [b for b in range(1, plan.samples // 2) if b not in site_bins],
         dtype=np.intp,
     )
-    floor = NOISE_FLOOR_FACTOR * float(np.median(power[off])) if off.size else 0.0
+    median = float(np.median(power[off])) if off.size else 0.0
+    floor = max(NOISE_FLOOR_FACTOR * median, ABSENT_POWER_TOL)
 
     peaks = tuple(
         SitePeak(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePointerError, UnknownLabelError, VanishingTotalError
+from .errors import DegeneratePointerError, VanishingTotalError
 from .pathsum import PathEnsemble
 
 VANISHING_TOTAL_TOL = 1e-14
@@ -56,9 +56,7 @@ def weak_values(ens: PathEnsemble, sites=None) -> dict[str, complex]:
     """
     if sites is None:
         sites = sorted(ens.known_sites)
-    for site in sites:
-        if site not in ens.known_sites:
-            raise UnknownLabelError(f"no arm carries site label {site!r}")
+    ens.require_sites(sites)
     alphas = relative_amplitudes(ens)
     return {
         site: complex(sum(a for a, p in zip(alphas, ens.paths) if site in p.sites))
@@ -128,7 +126,9 @@ def pointer_shift_exact(ens: PathEnsemble, model: PointerModel) -> float:
     a1 = ens.site_amplitude(model.site)
     a0 = ens.total - a1
     g = model.coupling
-    ov = math.exp(-(g**2) / (8.0 * model.sigma**2))
+    # the overlap depends only on g / sigma; r * r overflows to inf, not an error
+    r = g / model.sigma
+    ov = math.exp(-(r * r) / 8.0)
     cross = (a0.conjugate() * a1).real
     norm = abs(a0) ** 2 + abs(a1) ** 2 + 2.0 * cross * ov
     if norm < DEGENERATE_NORM_TOL:

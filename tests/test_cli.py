@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from weaktrace import reports
+from weaktrace import pathsum, reports
 from weaktrace.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -332,3 +332,44 @@ def test_chain_deeper_than_recursion_limit(tmp_path, capsys):
             assert result["weak_values"]["X"] == {"re": 1, "im": 0}
         else:
             assert result["weak_value"] == {"re": 1, "im": 0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--csv-dir", "csv"],
+        ["validate", "--csv-dir", "csv"],
+        ["block", "--seed", "3"],
+        ["weak", "--seed", "3"],
+    ],
+)
+def test_options_only_where_they_act(tmp_path, capsys, argv):
+    scn = write(tmp_path, "std.json", STD)
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], scn, *argv[1:]])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "csv").exists()
+
+
+def test_too_many_routes_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 3)
+    scn = write(tmp_path, "std.json", STD)
+    for command in ("paths", "weak", "spectrum"):
+        code, out, err = run(capsys, [command, scn])
+        assert code == 3, command
+        assert out == ""
+        assert json.loads(err)["error"] == "too_many_routes"
+
+
+# numpy's overflow warnings would land on stderr next to the error document
+@pytest.mark.filterwarnings("error")
+def test_non_finite_result_exits_4(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "custom_mzi.json").read_text())
+    doc["network"]["arms"][1]["modulation"]["delta"] = 1e308
+    scn = write(tmp_path, "deep.json", json.dumps(doc))
+    code, out, err = run(capsys, ["spectrum", scn, "--csv-dir", str(tmp_path / "csv")])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "non_finite_result"
+    assert not (tmp_path / "csv").exists()

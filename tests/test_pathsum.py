@@ -6,6 +6,7 @@ import pytest
 from conftest import path_by_sites
 from weaktrace import (
     apply_block,
+    pathsum,
     arm_input_amplitudes,
     detection_probability,
     enumerate_paths,
@@ -14,7 +15,7 @@ from weaktrace import (
     set_transmission,
     terminal_amplitudes,
 )
-from weaktrace.errors import UnknownLabelError
+from weaktrace.errors import TooManyRoutesError, UnknownLabelError
 from weaktrace.netgraph import (
     BEAM_SPLITTER,
     DETECTOR,
@@ -190,3 +191,20 @@ def test_random_networks_blocking_never_adds_paths():
         assert sum(p.blocked for p in blocked.paths) >= sum(
             p.blocked for p in base.paths
         )
+
+
+def test_route_enumeration_is_bounded(std_net, monkeypatch):
+    # the standard network's walk takes 22 steps, sink arrivals included
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 22)
+    assert len(enumerate_paths(std_net).paths) == 3
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 21)
+    with pytest.raises(TooManyRoutesError) as err:
+        enumerate_paths(std_net)
+    assert err.value.code == "too_many_routes"
+    assert err.value.exit_code == 3
+
+
+def test_require_sites_names_the_first_unknown_site(std_ens):
+    std_ens.require_sites(["A", "E"])
+    with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
+        std_ens.require_sites(iter(["A", "Z", "Y"]))

@@ -341,3 +341,45 @@ def test_negative_noise_std_rejected():
         parse_scenario(
             '{"network": "standard", "experiment": {"kind": "spectral", "noise": {"std": -1}}}'
         )
+
+
+@pytest.mark.parametrize("network", ['"standard"', json.dumps(CUSTOM_DARK_PORT["network"])])
+@pytest.mark.parametrize("kind", ["paths", "weak_values", "spectral", "blocking"])
+def test_default_experiment_is_parse_of_bare_kind(network, kind):
+    bare = parse_scenario(f'{{"network": {network}}}')
+    parsed = parse_scenario(f'{{"network": {network}, "experiment": {{"kind": "{kind}"}}}}')
+    assert default_experiment(bare, kind) == parsed.experiment
+
+
+def test_default_pointer_experiment_message():
+    with pytest.raises(SchemaError) as err:
+        default_experiment(parse_scenario('{"network": "standard"}'), "pointer")
+    assert str(err.value) == (
+        "$.experiment: a pointer experiment section is required (no default site)"
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment, keys",
+    [
+        ({"kind": "paths", "detector": "D"}, ["kind", "detector"]),
+        ({"kind": "weak_values", "sites": ["E", "A"]}, ["kind", "sites"]),
+        (
+            {"kind": "pointer", "site": "B", "sigma": 2.0, "detector": "D"},
+            ["kind", "site", "sigma", "couplings", "detector"],
+        ),
+        (
+            {"kind": "spectral", "samples": 512, "noise": {"std": 1e-4, "seed": 7}},
+            ["kind", "sigma", "samples", "plan", "noise"],
+        ),
+        (
+            {"kind": "blocking", "sigma": 0.5, "block_sites": ["A"], "detector": "D"},
+            ["kind", "sigma", "samples", "plan", "block_sites", "detector"],
+        ),
+    ],
+)
+def test_scenario_doc_round_trip_every_kind(experiment, keys):
+    sc = parse_scenario(json.dumps({"network": "standard", "experiment": experiment}))
+    doc = scenario_doc(sc)
+    assert list(doc["experiment"]) == keys
+    assert parse_scenario(json.dumps(doc)) == sc

@@ -21,6 +21,7 @@ from weaktrace import (
 from weaktrace.errors import DegeneratePointerError, UnknownLabelError
 from weaktrace.spectra import (
     ABSENT,
+    ABSENT_POWER_TOL,
     BELOW_THRESHOLD,
     STRONG,
 )
@@ -350,3 +351,25 @@ def test_blocking_dark_arm_mean_rate_shift(std_net):
 def test_blocked_site_must_exist(std_net):
     with pytest.raises(UnknownLabelError):
         run_blocking_suite(std_net, default_plan(0.01), 1.0, block_sites=("Q",))
+
+
+def test_readout_scales_with_sigma(std_net):
+    # displacements are delta * sigma * sin(...), so the overlaps depend only
+    # on delta and the reading is sigma times the sigma = 1 reading, down to
+    # widths whose square under- or overflows (at 1e-300 the smallest
+    # readings are subnormal, hence the absolute tolerance)
+    plan = default_plan(0.01, 256)
+    xbar1, rate1 = readout_timeseries(std_net, plan, sigma=1.0)
+    for sigma in (1e-300, 1e-3, 7.5, 1e300):
+        xbar, rate = readout_timeseries(std_net, plan, sigma=sigma)
+        assert np.array_equal(rate, rate1)
+        assert np.allclose(xbar / sigma, xbar1, rtol=1e-15, atol=1e-18)
+
+
+def test_noise_free_floor_is_absent_power_tol(std_net):
+    # a median of roundoff powers would move with the FFT; the floor of a
+    # noise-free run is pinned to machine-level power instead
+    report = run_spectral_experiment(std_net, default_plan(0.01), sigma=1.0)
+    assert report.noise_floor == ABSENT_POWER_TOL
+    suite = run_blocking_suite(std_net, default_plan(0.01), sigma=1.0)
+    assert {c.report.noise_floor for c in suite.configs} == {ABSENT_POWER_TOL}

@@ -221,3 +221,19 @@ def test_dark_port_pointer_with_coupling_is_finite(dark_port_net):
 def test_pointer_unknown_site(std_ens):
     with pytest.raises(UnknownLabelError):
         pointer_shift_exact(std_ens, PointerModel(site="Z", sigma=1.0, coupling=0.1))
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-3, 1e300])
+def test_pointer_shift_depends_on_coupling_over_width(std_ens, sigma):
+    # the overlap is a function of g / sigma alone, so scaling both scales
+    # the shift; sigma**2 itself would under- or overflow at these widths
+    for g in (0.5, 0.125):
+        ref = pointer_shift_exact(std_ens, PointerModel(site="B", sigma=1.0, coupling=g))
+        model = PointerModel(site="B", sigma=sigma, coupling=g * sigma)
+        assert pointer_shift_exact(std_ens, model) / sigma == pytest.approx(ref, rel=1e-14)
+
+
+def test_pointer_shift_far_beyond_the_width(std_ens):
+    # g / sigma = 1e300: the displaced copies no longer overlap at all
+    model = PointerModel(site="A", sigma=1e-300, coupling=1.0)
+    assert pointer_shift_exact(std_ens, model) == pytest.approx(0.5, abs=1e-15)
