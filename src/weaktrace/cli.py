@@ -2,8 +2,8 @@
 
 Subcommands take a scenario JSON file and write a report document to
 stdout or --out.  Exit codes: 0 success, 2 malformed scenario (or
-unreadable input), 3 invalid network (or too many routes to list),
-4 numeric degeneracy (or a non-finite result).
+unreadable input, or unwritable output), 3 invalid network (or too many
+routes to list), 4 numeric degeneracy (or a non-finite result).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .errors import SchemaError, WeakTraceError
+from .errors import OutputError, SchemaError, WeakTraceError
 from .pathsum import (
     arm_input_amplitudes,
     enumerate_paths,
@@ -109,9 +109,11 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
     with the prefix of its CSV file names.
     """
     try:
-        text = Path(args.scenario).read_text()
+        text = Path(args.scenario).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError("$", f"cannot read scenario file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"scenario file is not UTF-8 text ({exc})") from exc
     scenario = parse_scenario(text)
     command = args.command
 
@@ -138,7 +140,7 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
         ens = enumerate_paths(net, exp.detector)
         alphas = relative_amplitudes(ens)
         sites = list(exp.sites) if exp.sites is not None else None
-        result = reports.weak_result(ens, alphas, weak_values(ens, sites))
+        result = reports.weak_result(ens, alphas, weak_values(ens, sites, alphas))
 
     elif command == "pointer":
         ens = enumerate_paths(net, exp.detector)
@@ -168,6 +170,14 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
     return reports.envelope(command, doc, net, result), spectral
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path} ({exc})") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -176,29 +186,28 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             doc, spectral = _run(args)
             text = reports.render_json(doc)
+
+        # files first, so stdout carries a report only when every write worked;
+        # only spectrum and block return spectral reports and take --csv-dir
+        if spectral and args.csv_dir:
+            csv_dir = Path(args.csv_dir)
+            for prefix, report in spectral:
+                _write_text(
+                    csv_dir / f"{prefix}timeseries.csv",
+                    reports.timeseries_csv(report.xbar, report.rate),
+                )
+                _write_text(csv_dir / f"{prefix}spectrum.csv", reports.spectrum_csv(report.power))
+            _note(args, f"{2 * len(spectral)} CSV file(s) written to {csv_dir}")
+        if args.out:
+            out_path = Path(args.out)
+            _write_text(out_path, text)
+            _note(args, f"report written to {out_path}")
+        else:
+            sys.stdout.write(text)
     except WeakTraceError as exc:
         error_doc = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(reports.render_json(error_doc))
         return exc.exit_code
-
-    if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
-        _note(args, f"report written to {out_path}")
-    else:
-        sys.stdout.write(text)
-
-    # only spectrum and block return spectral reports, and only they take --csv-dir
-    if spectral and args.csv_dir:
-        csv_dir = Path(args.csv_dir)
-        csv_dir.mkdir(parents=True, exist_ok=True)
-        for prefix, report in spectral:
-            (csv_dir / f"{prefix}timeseries.csv").write_text(
-                reports.timeseries_csv(report.xbar, report.rate)
-            )
-            (csv_dir / f"{prefix}spectrum.csv").write_text(reports.spectrum_csv(report.power))
-        _note(args, f"{2 * len(spectral)} CSV file(s) written to {csv_dir}")
     return 0
 
 

@@ -77,6 +77,13 @@ class NonFiniteResultError(WeakTraceError):
     code = "non_finite_result"
 
 
+class OutputError(WeakTraceError):
+    """A report or CSV file cannot be written where the command was told to."""
+
+    code = "unwritable_output"
+    exit_code = 2
+
+
 class SchemaError(WeakTraceError):
     """A scenario document is malformed or has out-of-range values."""
 

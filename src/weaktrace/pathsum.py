@@ -1,7 +1,12 @@
 """Amplitude propagation and exhaustive path enumeration.
 
-Two independent views of the same physics: ``propagate`` pushes mode
-amplitudes through the network in topological order, while
+One forward engine, route enumeration for the ``paths`` report and as an
+oracle.  ``_forward`` pushes amplitudes through the network once, in
+topological order, keeping them per signature: the probed site labels a
+route has passed.  With no probed sites that is plain mode propagation
+(``propagate``, ``terminal_amplitudes``, ``arm_input_amplitudes``); with
+probed sites it yields the summed amplitude of every signature class
+(``signature_amplitudes``), which is all the spectral readout needs.
 ``enumerate_paths`` walks every source-to-detector route and assigns it
 the product of splitter entries and arm factors along the way.  For a
 valid network the summed path amplitudes reproduce the propagated ones.
@@ -26,6 +31,12 @@ from .netgraph import (
 # bound on the depth-first steps of one enumeration; routes double with
 # every cascaded splitter, so this keeps `paths` from running unbounded
 MAX_ROUTE_STEPS = 1_000_000
+
+
+def _require_sites(known, sites) -> None:
+    for site in sites:
+        if site not in known:
+            raise UnknownLabelError(f"no arm carries site label {site!r}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +66,7 @@ class PathEnsemble:
 
     def require_sites(self, sites) -> None:
         """Raise UnknownLabelError for the first site no arm carries."""
-        for site in sites:
-            if site not in self.known_sites:
-                raise UnknownLabelError(f"no arm carries site label {site!r}")
+        _require_sites(self.known_sites, sites)
 
     def site_amplitude(self, site: str) -> complex:
         """Summed amplitude of the routes passing through a site."""
@@ -65,41 +74,69 @@ class PathEnsemble:
         return sum((p.amplitude for p in self.paths if site in p.sites), 0j)
 
 
-def _forward(net: Network):
-    """Propagate the unit source amplitude through every node.
+def _forward(net: Network, probed=frozenset()):
+    """Propagate the unit source amplitude through every node, by signature.
 
-    Returns (in_amp, arm_in): amplitudes arriving at each (node, port)
-    and amplitudes entering each arm (before its own factor applies).
+    A route's signature is the tuple of ``probed`` site labels it passes,
+    in route order (one order per site set, since the graph is acyclic).
+    Every port and arm carries a map {signature: summed amplitude of the
+    routes with that signature}; with nothing probed, each map holds at
+    most the empty signature.  Returns (in_amp, arm_in): the maps arriving
+    at each (node, port) and entering each arm (before its own factor
+    applies).
+
+    Each map-entry update is one step; past ``MAX_ROUTE_STEPS`` steps the
+    pass raises TooManyRoutesError.
     """
     outgoing = net.outgoing()
-    in_amp: dict[tuple[str, int], complex] = {}
-    arm_in: dict[str, complex] = {}
+    in_amp: dict[tuple[str, int], dict[tuple[str, ...], complex]] = {}
+    arm_in: dict[str, dict[tuple[str, ...], complex]] = {}
+    steps = 0
     for node in net.topological_order():
         if node.kind == SOURCE:
-            outs = [1.0 + 0j]
+            outs = [{(): 1.0 + 0j}]
         elif node.kind == BEAM_SPLITTER:
-            v0 = in_amp.get((node.id, 0), 0j)
-            v1 = in_amp.get((node.id, 1), 0j)
-            s = node.scatter
-            outs = [s[0][0] * v0 + s[0][1] * v1, s[1][0] * v0 + s[1][1] * v1]
+            m0 = in_amp.get((node.id, 0), {})
+            m1 = in_amp.get((node.id, 1), {})
+            sigs = {**m0, **m1}  # signatures in first-seen order
+            outs = [
+                {sig: row[0] * m0.get(sig, 0j) + row[1] * m1.get(sig, 0j) for sig in sigs}
+                for row in node.scatter
+            ]
         elif node.kind == MIRROR:
-            outs = [in_amp.get((node.id, 0), 0j)]
+            outs = [in_amp.get((node.id, 0), {})]
         elif node.kind == BLOCK:
-            outs = [0j]
+            # blocked routes keep their signature with amplitude zero
+            outs = [dict.fromkeys(in_amp.get((node.id, 0), {}), 0j)]
         else:  # detectors and sinks only absorb
             continue
-        for port, amp in enumerate(outs):
+        for port, amps in enumerate(outs):
             arm = outgoing[(node.id, port)]
-            arm_in[arm.id] = amp
-            key = (arm.to_node, arm.to_port)
-            in_amp[key] = in_amp.get(key, 0j) + amp * arm.factor()
+            arm_in[arm.id] = amps
+            steps += len(amps)
+            if steps > MAX_ROUTE_STEPS:
+                raise TooManyRoutesError(
+                    f"amplitude propagation passed {MAX_ROUTE_STEPS} steps; "
+                    f"the network has too many probed-site signatures"
+                )
+            factor = arm.factor()
+            site = (arm.label,) if arm.label in probed else ()
+            dest = in_amp.setdefault((arm.to_node, arm.to_port), {})
+            for sig, amp in amps.items():
+                key = sig + site
+                dest[key] = dest.get(key, 0j) + amp * factor
     return in_amp, arm_in
+
+
+def _unprobed(amps: dict) -> complex:
+    """The amplitude of a map from a pass with no probed sites."""
+    return amps.get((), 0j)
 
 
 def propagate(net: Network) -> dict[str, complex]:
     """Detection amplitude at every detector for a unit source emission."""
     in_amp, _ = _forward(net)
-    return {d: in_amp.get((d, 0), 0j) for d in net.detectors}
+    return {d: _unprobed(in_amp.get((d, 0), {})) for d in net.detectors}
 
 
 def terminal_amplitudes(net: Network) -> dict[str, complex]:
@@ -110,13 +147,30 @@ def terminal_amplitudes(net: Network) -> dict[str, complex]:
     """
     in_amp, _ = _forward(net)
     terminals = [n.id for n in net.nodes if n.kind in (DETECTOR, SINK)]
-    return {t: in_amp.get((t, 0), 0j) for t in terminals}
+    return {t: _unprobed(in_amp.get((t, 0), {})) for t in terminals}
 
 
 def arm_input_amplitudes(net: Network) -> dict[str, complex]:
     """Amplitude entering each arm, keyed by arm id."""
     _, arm_in = _forward(net)
-    return dict(arm_in)
+    return {arm: _unprobed(amps) for arm, amps in arm_in.items()}
+
+
+def signature_amplitudes(net: Network, sites, detector: str | None = None) -> dict:
+    """Summed amplitude per probed-site signature class at one detector.
+
+    Routes to the detector are grouped by the tuple of ``sites`` they
+    pass, in route order, and their amplitudes summed within each group:
+    one forward pass, no route enumeration.  Classes of blocked routes
+    are present with amplitude zero; an empty result means no route
+    reaches the detector.  Raises UnknownLabelError for a site no arm
+    carries and TooManyRoutesError past ``MAX_ROUTE_STEPS`` map updates.
+    """
+    target = resolve_detector(net, detector)
+    sites = tuple(sites)
+    _require_sites(net.site_labels(), sites)
+    in_amp, _ = _forward(net, frozenset(sites))
+    return in_amp.get((target, 0), {})
 
 
 def resolve_detector(net: Network, detector: str | None) -> str:

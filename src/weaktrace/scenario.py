@@ -32,6 +32,7 @@ from .netgraph import (
 )
 from .spectra import (
     DEFAULT_SAMPLES,
+    MAX_SAMPLES,
     STANDARD_BLOCK_SITES,
     ModulationPlan,
     NoiseModel,
@@ -367,8 +368,10 @@ def _parse_experiment(value, path: str, network: NetworkSection) -> Experiment:
     if sigma <= 0.0:
         raise SchemaError(f"{path}.sigma", "pointer width must be positive")
     samples = _integer(obj["samples"], f"{path}.samples") if "samples" in obj else DEFAULT_SAMPLES
-    if samples < 4 or samples & (samples - 1):
-        raise SchemaError(f"{path}.samples", f"{samples} is not a power of two >= 4")
+    if samples < 4 or samples > MAX_SAMPLES or samples & (samples - 1):
+        raise SchemaError(
+            f"{path}.samples", f"{samples} is not a power of two in [4, {MAX_SAMPLES}]"
+        )
     if "plan" in obj:
         plan = _parse_plan(obj["plan"], f"{path}.plan", samples)
     else:

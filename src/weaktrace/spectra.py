@@ -6,6 +6,11 @@ reading, sampled over one period of the slow drive, is Fourier analyzed;
 a site leaves a peak at its bin with power proportional to the square of
 (coupling times the real part of its weak value), to leading order.
 
+A route's displacement depends only on which probed sites it passes, so
+the readout works on signature classes, the routes grouped by that site
+set with their amplitudes summed, taken from one forward pass over the
+network.  Its cost grows with the number of classes, not of routes.
+
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
 builds may differ in the last digits of the powers.
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import DegeneratePointerError, UnknownLabelError
 from .netgraph import Network, apply_block
-from .pathsum import enumerate_paths, propagate, resolve_detector
+from .pathsum import propagate, resolve_detector, signature_amplitudes
 from .weakval import DEGENERATE_NORM_TOL
 
 ABSENT_POWER_TOL = 1e-20
@@ -32,6 +37,8 @@ ABSENT = "absent"
 
 DEFAULT_SITE_BINS = (("A", 13), ("B", 17), ("C", 19), ("E", 23), ("F", 29))
 DEFAULT_SAMPLES = 4096
+# the readout holds a few samples x sites arrays; 2**20 samples is ~8 MB each
+MAX_SAMPLES = 2**20
 # the standard network's dark arms, blocked one at a time by default
 STANDARD_BLOCK_SITES = ("E", "F")
 
@@ -49,9 +56,10 @@ class SiteModulation:
 class ModulationPlan:
     """The full multiplexing schedule.
 
-    Invariants enforced on construction: a power-of-two sample count,
-    distinct sites, and distinct integer bins strictly between 0 and the
-    Nyquist bin so every probe lands on a resolvable line.
+    Invariants enforced on construction: a power-of-two sample count no
+    larger than ``MAX_SAMPLES``, distinct sites, and distinct integer bins
+    strictly between 0 and the Nyquist bin so every probe lands on a
+    resolvable line.
     """
 
     sites: tuple[SiteModulation, ...]
@@ -59,8 +67,8 @@ class ModulationPlan:
 
     def __post_init__(self):
         n = self.samples
-        if n < 4 or n & (n - 1):
-            raise ValueError(f"sample count {n} is not a power of two >= 4")
+        if n < 4 or n > MAX_SAMPLES or n & (n - 1):
+            raise ValueError(f"sample count {n} is not a power of two in [4, {MAX_SAMPLES}]")
         seen_sites = set()
         seen_bins = set()
         for sm in self.sites:
@@ -116,11 +124,21 @@ def readout_timeseries(
 ):
     """Post-selected mean pointer reading over one drive period.
 
-    At sample k, every path i accumulates the displacement
-    D_i(k) = sum over its probed sites of delta * sigma * sin(2 pi b k / N).
-    The mean reading and the (relative) detection rate follow from the
-    pairwise Gaussian overlaps of the displaced pointer copies; both are
-    exact in the depths, no weak expansion is made.
+    At sample k, every route through the probed sites S accumulates the
+    displacement D_S(k) = sum over S of delta * sigma * sin(2 pi b k / N).
+    The displacement depends on the route only through S, its signature,
+    so the routes are summed into one amplitude per signature class by a
+    single forward pass (``pathsum.signature_amplitudes``), and no route
+    is ever enumerated.  The mean reading and the (relative) detection
+    rate follow from the pairwise Gaussian overlaps of the K displaced
+    class copies; both are exact in the depths, no weak expansion is
+    made.  The cost is O(N K^2) in samples N and classes K, which is at
+    most the number of routes.
+
+    With symmetric weights w_ij = Re(A_i conj A_j) and overlaps ov_ij,
+    the pair sum over the midpoints (D_i + D_j) / 2 reduces to
+    sum_i D_i r_i with row sums r_i = sum_j w_ij ov_ij, and the rate is
+    sum_i r_i.
 
     Returns
     -------
@@ -130,17 +148,15 @@ def readout_timeseries(
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ValueError(f"pointer width must be positive, got {sigma!r}")
-    ens = enumerate_paths(net, detector)
-    ens.require_sites(sm.site for sm in plan.sites)
+    target = resolve_detector(net, detector)
+    classes = signature_amplitudes(net, [sm.site for sm in plan.sites], target)
+    if not classes:
+        raise DegeneratePointerError(f"no paths reach detector {target!r}")
 
     n = plan.samples
-    amps = np.array([p.amplitude for p in ens.paths], dtype=complex)
-    if amps.size == 0:
-        raise DegeneratePointerError(
-            f"no paths reach detector {ens.detector!r}"
-        )
+    amps = np.array(list(classes.values()), dtype=complex)
     member = np.array(
-        [[sm.site in p.sites for sm in plan.sites] for p in ens.paths],
+        [[sm.site in sig for sm in plan.sites] for sig in classes],
         dtype=float,
     )
     deltas = np.array([sm.delta for sm in plan.sites], dtype=float)
@@ -150,20 +166,23 @@ def readout_timeseries(
     # per-site displacement waveforms in units of sigma, shape (n, n_sites);
     # the overlaps depend only on these, and xbar is scaled back at the end
     waves = deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
-    disp = waves @ member.T  # (n, n_paths)
+    disp = waves @ member.T  # (n, n_classes)
 
-    weights = np.real(np.outer(amps, amps.conj()))  # symmetric, (P, P)
+    weights = np.real(np.outer(amps, amps.conj()))  # symmetric, (K, K)
 
     xbar = np.empty(n)
     rate = np.empty(n)
-    step = max(1, 262144 // max(1, amps.size**2))
+    # chunks of about 512 kB of pair overlaps, which stay in cache
+    step = max(1, 65536 // amps.size**2)
     for lo in range(0, n, step):
         d = disp[lo : lo + step]
-        diff = d[:, :, None] - d[:, None, :]
-        ov = np.exp(-(diff**2) * 0.125)
-        mid = 0.5 * (d[:, :, None] + d[:, None, :])
-        rate[lo : lo + step] = np.einsum("ij,kij->k", weights, ov)
-        xbar[lo : lo + step] = np.einsum("ij,kij->k", weights, mid * ov)
+        ov = d[:, :, None] - d[:, None, :]
+        ov *= ov
+        ov *= -0.125
+        np.exp(ov, out=ov)
+        rows = np.einsum("kij,ij->ki", ov, weights)  # r_i per sample, (step, K)
+        rate[lo : lo + step] = rows.sum(axis=1)
+        xbar[lo : lo + step] = (d * rows).sum(axis=1)
 
     if float(np.min(rate)) < DEGENERATE_NORM_TOL:
         raise DegeneratePointerError(

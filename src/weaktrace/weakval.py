@@ -48,16 +48,19 @@ def projector_weak_value(ens: PathEnsemble, site: str) -> complex:
     return weak_values(ens, [site])[site]
 
 
-def weak_values(ens: PathEnsemble, sites=None) -> dict[str, complex]:
+def weak_values(ens: PathEnsemble, sites=None, alphas=None) -> dict[str, complex]:
     """Projector weak values for several sites at once.
 
     ``sites`` defaults to every labeled site in the network, sorted.  The
-    relative amplitudes are computed once and shared by all sites.
+    relative amplitudes are computed once and shared by all sites; a
+    caller that already holds them (``relative_amplitudes(ens)``) passes
+    them as ``alphas``.
     """
     if sites is None:
         sites = sorted(ens.known_sites)
     ens.require_sites(sites)
-    alphas = relative_amplitudes(ens)
+    if alphas is None:
+        alphas = relative_amplitudes(ens)
     return {
         site: complex(sum(a for a, p in zip(alphas, ens.paths) if site in p.sites))
         for site in sites

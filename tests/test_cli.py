@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from weaktrace import pathsum, reports
+from weaktrace import cli, pathsum, reports, weakval
 from weaktrace.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -373,3 +373,53 @@ def test_non_finite_result_exits_4(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"] == "non_finite_result"
     assert not (tmp_path / "csv").exists()
+
+
+def test_too_many_samples_is_schema_error(tmp_path, capsys):
+    doc = {"network": "standard", "experiment": {"kind": "spectral", "samples": 2**60}}
+    scn = write(tmp_path, "huge.json", json.dumps(doc))
+    code, out, err = run(capsys, ["spectrum", scn])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema_error"
+    assert error["message"].startswith("$.experiment.samples: ")
+
+
+def test_non_utf8_scenario_is_schema_error(tmp_path, capsys):
+    scn = tmp_path / "bytes.json"
+    scn.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, ["validate", str(scn)])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema_error"
+    assert error["message"].startswith("$: ")
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv-dir"])
+def test_unwritable_output_exits_2(tmp_path, capsys, option):
+    scn = write(tmp_path, "std.json", STD)
+    # a regular file cannot be a directory on the way to the output
+    code, out, err = run(capsys, ["spectrum", scn, option, str(Path(scn) / "x")])
+    assert code == 2
+    # the report goes to stdout only once every file is written
+    assert out == ""
+    assert json.loads(err)["error"] == "unwritable_output"
+
+
+def test_weak_normalises_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = weakval.relative_amplitudes
+
+    def counted(ens):
+        calls.append(1)
+        return real(ens)
+
+    monkeypatch.setattr(weakval, "relative_amplitudes", counted)
+    monkeypatch.setattr(cli, "relative_amplitudes", counted)
+    scn = write(tmp_path, "std.json", STD)
+    code, out, _ = run(capsys, ["weak", scn])
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["result"]["weak_values"]["C"] == {"re": 1, "im": 0}

@@ -13,6 +13,7 @@ from weaktrace import (
     propagate,
     random_layered_network,
     set_transmission,
+    signature_amplitudes,
     terminal_amplitudes,
 )
 from weaktrace.errors import TooManyRoutesError, UnknownLabelError
@@ -208,3 +209,27 @@ def test_require_sites_names_the_first_unknown_site(std_ens):
     std_ens.require_sites(["A", "E"])
     with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
         std_ens.require_sites(iter(["A", "Z", "Y"]))
+
+
+def test_propagation_is_the_unprobed_signature_pass(std_net):
+    # frozen from the scalar forward pass that the signature-carrying pass
+    # replaced; repr pins every bit, signs of zero included
+    assert repr(propagate(std_net)) == "{'D': (0.4999999999999999+0j)}"
+    assert repr(arm_input_amplitudes(std_net)) == (
+        "{'in': (1+0j), 'E': (0.7071067811865475+0j), 'C': (0.7071067811865475+0j), "
+        "'E_out': (0.7071067811865475+0j), 'C_out': (0.7071067811865475+0j), "
+        "'A': (0.4999999999999999+0j), 'B': (0.4999999999999999+0j), "
+        "'A_out': (0.4999999999999999+0j), 'B_out': (0.4999999999999999+0j), "
+        "'dump1': (0.7071067811865474+0j), 'F': 0j, 'F_out': 0j, "
+        "'out': (0.4999999999999999+0j), 'dump2': (-0.4999999999999999+0j)}"
+    )
+    assert signature_amplitudes(std_net, []) == {(): propagate(std_net)["D"]}
+
+
+def test_propagation_is_bounded(std_net, monkeypatch):
+    # one map-entry update per arm the source reaches: 14 on the standard network
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 14)
+    assert len(arm_input_amplitudes(std_net)) == 14
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 13)
+    with pytest.raises(TooManyRoutesError):
+        propagate(std_net)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,28 @@ from weaktrace import (
     SiteModulation,
     apply_block,
     default_plan,
+    enumerate_paths,
+    pathsum,
     plan_from_network,
+    random_layered_network,
     readout_timeseries,
     run_blocking_suite,
     run_spectral_experiment,
     set_modulation,
+    signature_amplitudes,
+    spectra,
     spectrum,
     standard_nested_mzi,
 )
-from weaktrace.errors import DegeneratePointerError, UnknownLabelError
+from weaktrace.errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelError
+from weaktrace.netgraph import DETECTOR, Node, build_network
+from weaktrace.scenario import (
+    BlockingExperiment,
+    SpectralExperiment,
+    build_scenario_network,
+    default_experiment,
+    parse_scenario,
+)
 from weaktrace.spectra import (
     ABSENT,
     ABSENT_POWER_TOL,
@@ -62,6 +77,7 @@ def test_default_plan():
         ((("A", -0.01, 13),), 4096),  # negative depth
         ((("A", 0.01, 13),), 1000),  # not a power of two
         ((("A", 0.01, 13),), 2),  # too short
+        ((("A", 0.01, 13),), 2 * spectra.MAX_SAMPLES),  # too long
     ],
 )
 def test_plan_validation_rejects(sites, samples):
@@ -373,3 +389,171 @@ def test_noise_free_floor_is_absent_power_tol(std_net):
     assert report.noise_floor == ABSENT_POWER_TOL
     suite = run_blocking_suite(std_net, default_plan(0.01), sigma=1.0)
     assert {c.report.noise_floor for c in suite.configs} == {ABSENT_POWER_TOL}
+
+
+# ---------------------------------------------------------------- class readout
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _pair_sum_reference(net, plan, sigma, detector=None):
+    """readout_timeseries by the O(N P^2) sum over pairs of enumerated routes.
+
+    Every route i carries its own pointer copy, displaced by D_i; the
+    rate is sum_ij w_ij ov_ij and the mean reading
+    sum_ij w_ij (D_i + D_j)/2 ov_ij over the rate.
+    """
+    ens = enumerate_paths(net, detector)
+    amps = np.array([p.amplitude for p in ens.paths], dtype=complex)
+    member = np.array(
+        [[sm.site in p.sites for sm in plan.sites] for p in ens.paths], dtype=float
+    )
+    deltas = np.array([sm.delta for sm in plan.sites])
+    bins = np.array([sm.bin for sm in plan.sites], dtype=float)
+    k = np.arange(plan.samples, dtype=float)
+    waves = deltas * np.sin(2.0 * np.pi * bins * k[:, None] / plan.samples)
+    disp = waves @ member.T
+    weights = np.real(np.outer(amps, amps.conj()))
+    diff = disp[:, :, None] - disp[:, None, :]
+    mid = 0.5 * (disp[:, :, None] + disp[:, None, :])
+    ov = np.exp(-(diff**2) / 8.0)
+    rate = np.einsum("ij,kij->k", weights, ov)
+    xbar = np.einsum("ij,kij->k", weights, mid * ov) / rate * sigma
+    return xbar, rate
+
+
+def _assert_matches_reference(net, plan, sigma=1.0, detector=None):
+    xbar, rate = readout_timeseries(net, plan, sigma, detector)
+    ref_xbar, ref_rate = _pair_sum_reference(net, plan, sigma, detector)
+    assert np.max(np.abs(rate - ref_rate)) <= 1e-12 * np.max(np.abs(ref_rate))
+    assert np.max(np.abs(xbar - ref_xbar)) <= 1e-12 * np.max(np.abs(ref_xbar))
+
+
+def _scenario_spectral_configs():
+    """(network, plan, sigma, detector) of every spectral run in scenarios/."""
+    configs = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = parse_scenario(path.read_text())
+        net = build_scenario_network(scenario.network)
+        for kind, cls in (("spectral", SpectralExperiment), ("blocking", BlockingExperiment)):
+            exp = scenario.experiment
+            if exp is None:
+                exp = default_experiment(scenario, kind)
+            elif not isinstance(exp, cls):
+                continue
+            variants = [("", net)]
+            if kind == "blocking":
+                variants += [(f"_block_{s}", apply_block(net, s)) for s in exp.block_sites]
+            for suffix, net_c in variants:
+                configs.append(
+                    pytest.param(
+                        net_c, exp.plan, exp.sigma, exp.detector, id=f"{path.stem}/{kind}{suffix}"
+                    )
+                )
+    return configs
+
+
+@pytest.mark.parametrize("net,plan,sigma,detector", _scenario_spectral_configs())
+def test_class_readout_matches_pair_sum_on_scenarios(net, plan, sigma, detector):
+    _assert_matches_reference(net, plan, sigma, detector)
+
+
+def test_class_readout_matches_pair_sum_on_random_networks():
+    rng_plan = np.random.default_rng(2024)
+    checked = 0
+    for seed in range(100):
+        net = random_layered_network(np.random.default_rng(seed))
+        sites = sorted(net.site_labels())
+        if not sites:
+            continue
+        bins = rng_plan.choice(np.arange(1, 32), size=len(sites), replace=False)
+        plan = ModulationPlan(
+            sites=tuple(
+                SiteModulation(s, float(rng_plan.uniform(0.0, 0.5)), int(b))
+                for s, b in zip(sites, bins)
+            ),
+            samples=64,
+        )
+        for det in net.detectors:
+            ref_rate = _pair_sum_reference(net, plan, 1.0, det)[1]
+            if np.min(ref_rate) < 1e-14:
+                with pytest.raises(DegeneratePointerError):
+                    readout_timeseries(net, plan, 1.0, det)
+                continue
+            _assert_matches_reference(net, plan, 1.0, det)
+            checked += 1
+    assert checked >= 100
+
+
+def test_signature_classes_collapse_or_not(std_net):
+    # probing all five sites keeps the three routes apart (K = P); probing
+    # only E and F leaves the reference route alone in one class and merges
+    # the two inner routes, which pass both E and F, into another (K < P)
+    routes = enumerate_paths(std_net).paths
+    every = default_plan(0.05, 256)
+    dark = plan_with({"E": 0.05, "F": 0.05}, samples=256)
+    assert len(signature_amplitudes(std_net, [sm.site for sm in every.sites])) == len(routes)
+    classes = signature_amplitudes(std_net, ["E", "F"])
+    assert list(classes) == [("E", "F"), ()]
+    assert classes[("E", "F")] == 0j
+    assert classes[()] == pytest.approx(0.5, abs=1e-15)
+    for plan in (every, dark):
+        _assert_matches_reference(std_net, plan)
+
+    net = random_layered_network(np.random.default_rng(7), max_beam_splitters=12)
+    det = net.detectors[0]
+    routes = enumerate_paths(net, det).paths
+    sites = sorted(net.site_labels())[:3]
+    classes = signature_amplitudes(net, sites, det)
+    assert 1 < len(classes) < len(routes)
+    plan = ModulationPlan(
+        sites=tuple(SiteModulation(s, 0.2, b) for s, b in zip(sites, (3, 5, 11))),
+        samples=64,
+    )
+    _assert_matches_reference(net, plan, 1.0, det)
+
+
+def test_signature_classes_sum_the_routes():
+    for seed in range(20):
+        net = random_layered_network(np.random.default_rng(seed))
+        sites = sorted(net.site_labels())[::2]
+        for det in net.detectors:
+            grouped = {}
+            for p in enumerate_paths(net, det).paths:
+                sig = tuple(s for s in p.sites if s in sites)
+                grouped[sig] = grouped.get(sig, 0j) + p.amplitude
+            classes = signature_amplitudes(net, sites, det)
+            assert set(classes) == set(grouped), seed
+            for sig, amp in grouped.items():
+                assert abs(classes[sig] - amp) < 1e-12, (seed, det, sig)
+
+
+def test_readout_enumerates_no_routes(std_net, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral readout enumerated routes")
+
+    monkeypatch.setattr(pathsum, "enumerate_paths", refuse)
+    assert not hasattr(spectra, "enumerate_paths")
+    readout_timeseries(std_net, default_plan(0.01, 256), sigma=1.0)
+    run_blocking_suite(std_net, default_plan(0.01, 256), sigma=1.0)
+
+
+def test_signature_pass_is_bounded(std_net, monkeypatch):
+    # with all five sites probed the pass makes 21 map-entry updates
+    sites = [sm.site for sm in default_plan().sites]
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 21)
+    assert len(signature_amplitudes(std_net, sites)) == 3
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 20)
+    with pytest.raises(TooManyRoutesError):
+        readout_timeseries(std_net, default_plan(0.01, 256), sigma=1.0)
+
+
+def test_readout_with_no_route_to_the_detector():
+    # a detector with no incoming arm is valid, and no route reaches it
+    net = make_dark_port_mzi()
+    net = build_network(net.nodes + (Node("D2", DETECTOR),), net.arms)
+    plan = ModulationPlan(sites=(SiteModulation("X", 0.01, 13),), samples=64)
+    assert signature_amplitudes(net, ["X"], "D2") == {}
+    with pytest.raises(DegeneratePointerError, match="no paths reach detector 'D2'"):
+        readout_timeseries(net, plan, sigma=1.0, detector="D2")
+
