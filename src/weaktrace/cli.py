@@ -20,6 +20,7 @@ from .errors import OutputError, SchemaError, WeakTraceError
 from .pathsum import (
     arm_input_amplitudes,
     enumerate_paths,
+    resolve_detector,
     terminal_amplitudes,
 )
 from .scenario import (
@@ -33,6 +34,7 @@ from .scenario import (
 from .spectra import SpectralReport, run_blocking_suite, run_spectral_experiment
 from .weakval import (
     PointerModel,
+    amplitude_split,
     pointer_shift_exact,
     projector_weak_value,
     relative_amplitudes,
@@ -140,17 +142,17 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
         ens = enumerate_paths(net, exp.detector)
         alphas = relative_amplitudes(ens)
         sites = list(exp.sites) if exp.sites is not None else None
-        result = reports.weak_result(ens, alphas, weak_values(ens, sites, alphas))
+        result = reports.weak_result(ens, alphas, weak_values(net, sites, ens.detector))
 
     elif command == "pointer":
-        ens = enumerate_paths(net, exp.detector)
-        value = projector_weak_value(ens, exp.site)
+        amps = amplitude_split(net, exp.site, exp.detector)
+        value = projector_weak_value(amps)
         readings = []
         for g in exp.couplings:
             model = PointerModel(site=exp.site, sigma=exp.sigma, coupling=g)
-            readings.append((g, pointer_shift_exact(ens, model)))
+            readings.append((g, pointer_shift_exact(amps, model)))
         result = reports.pointer_result(
-            ens.detector, exp.site, exp.sigma, value, readings
+            resolve_detector(net, exp.detector), exp.site, exp.sigma, value, readings
         )
 
     elif command == "spectrum":

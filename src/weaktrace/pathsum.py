@@ -1,12 +1,13 @@
 """Amplitude propagation and exhaustive path enumeration.
 
-One forward engine, route enumeration for the ``paths`` report and as an
-oracle.  ``_forward`` pushes amplitudes through the network once, in
-topological order, keeping them per signature: the probed site labels a
-route has passed.  With no probed sites that is plain mode propagation
-(``propagate``, ``terminal_amplitudes``, ``arm_input_amplitudes``); with
-probed sites it yields the summed amplitude of every signature class
-(``signature_amplitudes``), which is all the spectral readout needs.
+One forward engine, route enumeration for the route tables of ``paths``
+and ``weak`` and as an oracle.  ``_forward`` pushes amplitudes through
+the network once, in topological order, keeping them per signature: the
+probed site labels a route has passed.  With no probed sites that is
+plain mode propagation (``propagate``, ``terminal_amplitudes``,
+``arm_input_amplitudes``); with probed sites it yields the summed
+amplitude of every signature class (``signature_amplitudes``), which is
+all the spectral readout and the weak values need.
 ``enumerate_paths`` walks every source-to-detector route and assigns it
 the product of splitter entries and arm factors along the way.  For a
 valid network the summed path amplitudes reproduce the propagated ones.
@@ -33,12 +34,6 @@ from .netgraph import (
 MAX_ROUTE_STEPS = 1_000_000
 
 
-def _require_sites(known, sites) -> None:
-    for site in sites:
-        if site not in known:
-            raise UnknownLabelError(f"no arm carries site label {site!r}")
-
-
 @dataclass(frozen=True)
 class Path:
     """One source-to-detector route.
@@ -62,16 +57,6 @@ class PathEnsemble:
     detector: str
     paths: tuple[Path, ...]
     total: complex
-    known_sites: frozenset[str]
-
-    def require_sites(self, sites) -> None:
-        """Raise UnknownLabelError for the first site no arm carries."""
-        _require_sites(self.known_sites, sites)
-
-    def site_amplitude(self, site: str) -> complex:
-        """Summed amplitude of the routes passing through a site."""
-        self.require_sites([site])
-        return sum((p.amplitude for p in self.paths if site in p.sites), 0j)
 
 
 def _forward(net: Network, probed=frozenset()):
@@ -168,7 +153,10 @@ def signature_amplitudes(net: Network, sites, detector: str | None = None) -> di
     """
     target = resolve_detector(net, detector)
     sites = tuple(sites)
-    _require_sites(net.site_labels(), sites)
+    known = net.site_labels()
+    for site in sites:
+        if site not in known:
+            raise UnknownLabelError(f"no arm carries site label {site!r}")
     in_amp, _ = _forward(net, frozenset(sites))
     return in_amp.get((target, 0), {})
 
@@ -270,7 +258,6 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
         detector=target,
         paths=tuple(paths),
         total=total,
-        known_sites=net.site_labels(),
     )
 
 

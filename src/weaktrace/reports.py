@@ -1,9 +1,9 @@
 """Report documents and their deterministic serialization.
 
 The JSON emitter is hand-rolled for reproducibility: floats are always
-rendered with %.17g (shortest round-trippable form is version dependent
-across Python builds was never the issue; a fixed format is), dictionary
-order is insertion order, and numeric leaf arrays are kept on one line.
+rendered with %.17g, one fixed format that round-trips every double,
+dictionary order is insertion order, and numeric leaf arrays are kept on
+one line.
 Identical inputs therefore produce byte-identical documents.
 """
 

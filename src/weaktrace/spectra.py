@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegeneratePointerError, UnknownLabelError
 from .netgraph import Network, apply_block
-from .pathsum import propagate, resolve_detector, signature_amplitudes
+from .pathsum import resolve_detector, signature_amplitudes
 from .weakval import DEGENERATE_NORM_TOL
 
 ABSENT_POWER_TOL = 1e-20
@@ -351,12 +351,12 @@ def run_blocking_suite(
     for name, site in variants:
         net_c = apply_block(net, site) if site is not None else net
         report = run_spectral_experiment(net_c, plan, sigma, noise=None, detector=target)
-        amp = propagate(net_c)[target]
         configs.append(
             BlockingConfig(
                 name=name,
                 blocked_site=site,
-                static_probability=abs(amp) ** 2,
+                # sample 0 displaces no class, so its rate is |sum of classes|^2
+                static_probability=float(report.rate[0]),
                 report=report,
             )
         )

@@ -1,15 +1,14 @@
-"""Relative amplitudes, projector weak values, and the Gaussian pointer.
+"""Weak values from summed amplitudes, and the Gaussian pointer.
 
-Given the path ensemble reaching a detector, each path i contributes a
-relative amplitude alpha_i = A_i / sum_j A_j.  The weak value of the
-projector onto a site is the sum of alpha_i over paths through that site,
-and the mean reading of any site-diagonal probe is the corresponding
-alpha-weighted sum of its eigenvalues.
+With A1 the summed amplitude of the routes to a detector through a site
+and A0 that of the rest, both from one forward pass, the weak value of
+the projector onto the site is A1 / (A0 + A1).  Relative amplitudes of
+single routes, A_i / sum_j A_j, serve the per-route table of ``weak``.
 
 The pointer model treats one site's probe exactly, with no weak-coupling
 expansion: a Gaussian profile of width sigma is displaced by g on the
-paths through the site, and the post-selected mean displacement follows
-from two Gaussian overlap integrals in closed form.
+routes through the site, and the post-selected mean displacement follows
+from (A0, A1) in closed form.
 """
 
 from __future__ import annotations
@@ -20,12 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePointerError, VanishingTotalError
-from .pathsum import PathEnsemble
+from .netgraph import Network
+from .pathsum import PathEnsemble, signature_amplitudes
 
 VANISHING_TOTAL_TOL = 1e-14
 # smallest post-selected pointer norm (or spectral detection rate) that
 # still defines a mean reading
 DEGENERATE_NORM_TOL = 1e-14
+
+
+def _require_total(total: complex) -> None:
+    if abs(total) <= VANISHING_TOTAL_TOL:
+        raise VanishingTotalError(
+            f"summed detection amplitude |{total:.3e}| is below "
+            f"{VANISHING_TOTAL_TOL:g}; relative amplitudes are undefined"
+        )
 
 
 def relative_amplitudes(ens: PathEnsemble) -> np.ndarray:
@@ -35,36 +43,42 @@ def relative_amplitudes(ens: PathEnsemble) -> np.ndarray:
     nothing at the detector, making the normalization meaningless.
     """
     total = ens.total
-    if abs(total) <= VANISHING_TOTAL_TOL:
-        raise VanishingTotalError(
-            f"summed detection amplitude |{total:.3e}| is below "
-            f"{VANISHING_TOTAL_TOL:g}; relative amplitudes are undefined"
-        )
+    _require_total(total)
     return np.array([p.amplitude / total for p in ens.paths], dtype=complex)
 
 
-def projector_weak_value(ens: PathEnsemble, site: str) -> complex:
-    """Weak value of the projector onto the routes through ``site``."""
-    return weak_values(ens, [site])[site]
+def amplitude_split(net: Network, site: str, detector: str | None = None):
+    """(A0, A1): summed amplitudes of the routes to a detector that bypass
+    and that pass ``site``, from one forward pass probing only that site.
+
+    Raises UnknownLabelError for an unknown site or detector.
+    """
+    classes = signature_amplitudes(net, [site], detector)
+    return classes.get((), 0j), classes.get((site,), 0j)
 
 
-def weak_values(ens: PathEnsemble, sites=None, alphas=None) -> dict[str, complex]:
-    """Projector weak values for several sites at once.
+def projector_weak_value(amps: tuple[complex, complex]) -> complex:
+    """Weak value A1 / (A0 + A1) of the projector onto a site's routes.
 
-    ``sites`` defaults to every labeled site in the network, sorted.  The
-    relative amplitudes are computed once and shared by all sites; a
-    caller that already holds them (``relative_amplitudes(ens)``) passes
-    them as ``alphas``.
+    Raises VanishingTotalError when A0 + A1 (numerically) vanishes.
+    """
+    a0, a1 = amps
+    total = a0 + a1
+    _require_total(total)
+    return complex(a1 / total)
+
+
+def weak_values(net: Network, sites=None, detector: str | None = None) -> dict[str, complex]:
+    """Projector weak values at one detector, one one-site pass per site.
+
+    ``sites`` defaults to every labeled site in the network, sorted.  Every
+    site is checked before any weak value is formed, so an unknown site
+    raises UnknownLabelError even when the total vanishes.
     """
     if sites is None:
-        sites = sorted(ens.known_sites)
-    ens.require_sites(sites)
-    if alphas is None:
-        alphas = relative_amplitudes(ens)
-    return {
-        site: complex(sum(a for a, p in zip(alphas, ens.paths) if site in p.sites))
-        for site in sites
-    }
+        sites = sorted(net.site_labels())
+    amps = {site: amplitude_split(net, site, detector) for site in sites}
+    return {site: projector_weak_value(pair) for site, pair in amps.items()}
 
 
 def weak_observable(alphas, eigenvalues) -> complex:
@@ -115,19 +129,19 @@ def pointer_profile(x, sigma: float):
     return norm * np.exp(-(x**2) / (4.0 * sigma**2))
 
 
-def pointer_shift_exact(ens: PathEnsemble, model: PointerModel) -> float:
+def pointer_shift_exact(amps: tuple[complex, complex], model: PointerModel) -> float:
     """Exact post-selected mean pointer displacement.
 
-    Paths through the model's site displace the pointer by g, the rest
-    leave it centered.  With A1 the summed amplitude through the site and
-    A0 the rest, the final pointer state is A0 G(x) + A1 G(x - g) up to
-    normalization, and the mean of x follows from the Gaussian overlap
-    exp(-g^2 / (8 sigma^2)) with no small-g approximation.
+    ``amps`` is (A0, A1) for the model's site, as ``amplitude_split``
+    returns it.  Routes through the site displace the pointer by g, the
+    rest leave it centered, so the final pointer state is
+    A0 G(x) + A1 G(x - g) up to normalization, and the mean of x follows
+    from the Gaussian overlap exp(-g^2 / (8 sigma^2)) with no small-g
+    approximation.
 
     Raises DegeneratePointerError when the post-selected norm vanishes.
     """
-    a1 = ens.site_amplitude(model.site)
-    a0 = ens.total - a1
+    a0, a1 = amps
     g = model.coupling
     # the overlap depends only on g / sigma; r * r overflows to inf, not an error
     r = g / model.sigma
@@ -141,8 +155,3 @@ def pointer_shift_exact(ens: PathEnsemble, model: PointerModel) -> float:
         )
     mean = (abs(a1) ** 2) * g + 2.0 * cross * (g / 2.0) * ov
     return mean / norm
-
-
-def pointer_shift_weak(ens: PathEnsemble, model: PointerModel) -> float:
-    """First-order prediction g * Re(weak value) for comparison."""
-    return model.coupling * projector_weak_value(ens, model.site).real

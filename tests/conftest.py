@@ -1,6 +1,6 @@
 import pytest
 
-from weaktrace import enumerate_paths, standard_nested_mzi
+from weaktrace import enumerate_paths, relative_amplitudes, standard_nested_mzi
 from weaktrace.netgraph import (
     BEAM_SPLITTER,
     DETECTOR,
@@ -58,3 +58,16 @@ def dark_port_net():
 def path_by_sites(ens):
     """Index an ensemble's paths by their site signature."""
     return {p.sites: p for p in ens.paths}
+
+
+def route_weak_value(ens, site):
+    """Weak-value oracle: the relative amplitudes of the routes through
+    ``site``, summed route by route."""
+    alphas = relative_amplitudes(ens)
+    return complex(sum(a for a, p in zip(alphas, ens.paths) if site in p.sites))
+
+
+def route_amplitude_split(ens, site):
+    """(A0, A1) oracle: route amplitudes bypassing and passing ``site``."""
+    a1 = sum((p.amplitude for p in ens.paths if site in p.sites), 0j)
+    return ens.total - a1, a1

@@ -16,6 +16,7 @@ import scipy.integrate
 from weaktrace import (
     NoiseModel,
     PointerModel,
+    amplitude_split,
     arm_input_amplitudes,
     default_plan,
     enumerate_paths,
@@ -70,8 +71,8 @@ def test_criterion_3_relative_amplitude_tuning(ens):
     print(f"criterion 3: alpha_EBF + alpha_EAF = {abs(a_eaf + a_ebf):.3e} (< 1e-12)")
 
 
-def test_criterion_4_weak_trace_pattern(ens):
-    w = weak_values(ens)
+def test_criterion_4_weak_trace_pattern(net):
+    w = weak_values(net)
     assert abs(w["E"]) < 1e-12
     assert abs(w["F"]) < 1e-12
     for site in "ABC":
@@ -112,12 +113,12 @@ def _quadrature_shift(ens, site, sigma, g):
     return scipy.integrate.simpson(w * x, x=x) / scipy.integrate.simpson(w, x=x)
 
 
-def test_criterion_6_pointer_weak_limit(ens):
+def test_criterion_6_pointer_weak_limit(net, ens):
     sigma = 1.0
-    w_a = projector_weak_value(ens, "A").real
+    w_a = projector_weak_value(amplitude_split(net, "A")).real
     errors = []
     for g in (sigma / 8, sigma / 16, sigma / 32):
-        shift = pointer_shift_exact(ens, PointerModel("A", sigma, g))
+        shift = pointer_shift_exact(amplitude_split(net, "A"), PointerModel("A", sigma, g))
         errors.append(abs(shift / g - w_a))
     if max(errors) < 1e-13:
         # At site A the through and bypass amplitudes are equal, so the
@@ -134,7 +135,8 @@ def test_criterion_6_pointer_weak_limit(ens):
             assert 3.0 <= a / b <= 5.0
         print(f"criterion 6: residual ratios {[f'{a/b:.2f}' for a, b in zip(errors, errors[1:])]}")
     for site in ("A", "B"):
-        exact = pointer_shift_exact(ens, PointerModel(site, sigma, sigma / 2))
+        model = PointerModel(site, sigma, sigma / 2)
+        exact = pointer_shift_exact(amplitude_split(net, site), model)
         quad = _quadrature_shift(ens, site, sigma, sigma / 2)
         assert abs(exact - quad) < 1e-8
     print("criterion 6: closed form matches quadrature at g = sigma/2 (< 1e-8)")

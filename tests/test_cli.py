@@ -423,3 +423,66 @@ def test_weak_normalises_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert json.loads(out)["result"]["weak_values"]["C"] == {"re": 1, "im": 0}
+
+
+def hadamard_cascade_scenario(stages: int) -> dict:
+    """Splitters J0..J<stages>, each joined to the next by two labeled arms:
+    2**stages routes reach D.  An even number of Hadamards is the identity,
+    so after every joint only port 0 can still reach D: the upper arms have
+    weak value 1 and the lower ones 0."""
+    h = 2**-0.5
+    nodes = [{"id": "SRC", "kind": "source"}]
+    nodes += [
+        {"id": f"J{j}", "kind": "beam_splitter", "scatter": [[h, h], [h, -h]]}
+        for j in range(stages + 1)
+    ]
+    nodes += [{"id": "D", "kind": "detector"}, {"id": "K", "kind": "sink"}]
+    arms = [{"id": "in", "from": ["SRC", 0], "to": ["J0", 0]}]
+    for s in range(stages):
+        for port, side in ((0, "u"), (1, "d")):
+            arms.append(
+                {"id": f"s{s}{side}", "from": [f"J{s}", port], "to": [f"J{s + 1}", port],
+                 "label": f"s{s}{side}"}
+            )
+    arms.append({"id": "out", "from": [f"J{stages}", 0], "to": ["D", 0]})
+    arms.append({"id": "dump", "from": [f"J{stages}", 1], "to": ["K", 0]})
+    return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
+
+
+def test_pointer_has_no_route_limit(tmp_path, capsys):
+    doc = hadamard_cascade_scenario(20)
+    doc["experiment"] = {"kind": "pointer", "site": "s7u", "couplings": [0.5, 0.125]}
+    code, out, err = run(capsys, ["pointer", write(tmp_path, "cascade.json", json.dumps(doc))])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["weak_value"]["re"] == pytest.approx(1.0, abs=1e-12)
+    for reading in result["readings"]:
+        assert reading["shift"] == pytest.approx(reading["coupling"], abs=1e-12)
+
+
+def count_forward_passes(monkeypatch):
+    calls = []
+    real = pathsum._forward
+    monkeypatch.setattr(pathsum, "_forward", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_pointer_makes_one_forward_pass(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pointer listed routes")
+
+    monkeypatch.setattr(pathsum, "enumerate_paths", refuse)
+    monkeypatch.setattr(cli, "enumerate_paths", refuse)
+    calls = count_forward_passes(monkeypatch)
+    code, out, _ = run(capsys, ["pointer", str(SCENARIOS / "pointer_site_b.json")])
+    assert code == 0
+    assert len(json.loads(out)["result"]["readings"]) == 3
+    assert len(calls) == 1
+
+
+def test_block_makes_one_forward_pass_per_configuration(capsys, monkeypatch):
+    calls = count_forward_passes(monkeypatch)
+    code, out, _ = run(capsys, ["block", str(SCENARIOS / "standard.json")])
+    assert code == 0
+    assert len(json.loads(out)["result"]["configs"]) == 3
+    assert len(calls) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import path_by_sites
 from weaktrace import (
+    amplitude_split,
     apply_block,
     pathsum,
     arm_input_amplitudes,
@@ -154,12 +155,13 @@ def test_detector_must_be_named_when_ambiguous():
         enumerate_paths(net, "SINK1")
 
 
-def test_site_amplitude(std_ens):
-    assert std_ens.site_amplitude("A") == pytest.approx(EAF, abs=1e-12)
-    assert std_ens.site_amplitude("E") == pytest.approx(0.0, abs=1e-12)
-    assert std_ens.site_amplitude("C") == pytest.approx(CREF, abs=1e-12)
+def test_site_amplitude(std_net):
+    # (A0, A1): the routes bypassing and passing the site, from one pass
+    assert amplitude_split(std_net, "A") == pytest.approx((CREF + EBF, EAF), abs=1e-12)
+    assert amplitude_split(std_net, "E") == pytest.approx((CREF, 0.0), abs=1e-12)
+    assert amplitude_split(std_net, "C") == pytest.approx((0.0, CREF), abs=1e-12)
     with pytest.raises(UnknownLabelError):
-        std_ens.site_amplitude("Z")
+        amplitude_split(std_net, "Z")
 
 
 def test_random_networks_oracle_equivalence():
@@ -205,10 +207,10 @@ def test_route_enumeration_is_bounded(std_net, monkeypatch):
     assert err.value.exit_code == 3
 
 
-def test_require_sites_names_the_first_unknown_site(std_ens):
-    std_ens.require_sites(["A", "E"])
+def test_require_sites_names_the_first_unknown_site(std_net):
+    signature_amplitudes(std_net, ["A", "E"])
     with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
-        std_ens.require_sites(iter(["A", "Z", "Y"]))
+        signature_amplitudes(std_net, iter(["A", "Z", "Y"]))
 
 
 def test_propagation_is_the_unprobed_signature_pass(std_net):

@@ -6,16 +6,19 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_by_sites
+from conftest import path_by_sites, route_amplitude_split, route_weak_value
 from weaktrace import (
     PointerModel,
+    amplitude_split,
     build_network,
     enumerate_paths,
+    pathsum,
     pointer_profile,
     pointer_shift_exact,
-    pointer_shift_weak,
     projector_weak_value,
+    random_layered_network,
     relative_amplitudes,
+    reports,
     weak_observable,
     weak_values,
     weakval,
@@ -46,8 +49,8 @@ def test_inner_routes_cancel(std_ens):
     )
 
 
-def test_weak_values_standard(std_ens):
-    w = weak_values(std_ens)
+def test_weak_values_standard(std_net):
+    w = weak_values(std_net)
     assert w["A"] == pytest.approx(0.5, abs=1e-12)
     assert w["B"] == pytest.approx(-0.5, abs=1e-12)
     assert w["C"] == pytest.approx(1.0, abs=1e-12)
@@ -55,27 +58,30 @@ def test_weak_values_standard(std_ens):
     assert abs(w["F"]) < 1e-12
 
 
-def test_weak_values_partition_sums(std_ens):
-    w = weak_values(std_ens)
+def test_weak_values_partition_sums(std_net):
+    w = weak_values(std_net)
     # every path passes exactly one of {A, B, C}, and one of {E, C}
     assert w["A"] + w["B"] + w["C"] == pytest.approx(1.0, abs=1e-12)
     assert w["E"] + w["C"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_weak_values_normalise_once(std_ens, monkeypatch):
+def test_weak_values_normalise_once(std_net, monkeypatch):
+    # each site's weak value is normalised once, by the total of its own
+    # one-site pass; no route is listed or normalised
     calls = []
-    real = weakval.relative_amplitudes
-    monkeypatch.setattr(weakval, "relative_amplitudes", lambda ens: calls.append(1) or real(ens))
-    w = weak_values(std_ens)
-    assert len(calls) == 1
-    assert w == {s: projector_weak_value(std_ens, s) for s in sorted(std_ens.known_sites)}
+    real = pathsum._forward
+    monkeypatch.setattr(pathsum, "_forward", lambda *a: calls.append(a[1]) or real(*a))
+    monkeypatch.setattr(weakval, "relative_amplitudes", None)
+    w = weak_values(std_net)
+    assert calls == [frozenset(s) for s in "ABCEF"]
+    assert w == {s: projector_weak_value(amplitude_split(std_net, s)) for s in "ABCEF"}
     with pytest.raises(UnknownLabelError):
-        weak_values(std_ens, ["A", "Q"])
+        weak_values(std_net, ["A", "Q"])
 
 
-def test_unknown_site(std_ens):
+def test_unknown_site(std_net):
     with pytest.raises(UnknownLabelError):
-        projector_weak_value(std_ens, "Q")
+        projector_weak_value(amplitude_split(std_net, "Q"))
 
 
 def test_vanishing_total(dark_port_net):
@@ -83,6 +89,8 @@ def test_vanishing_total(dark_port_net):
     assert ens.total == 0j
     with pytest.raises(VanishingTotalError):
         relative_amplitudes(ens)
+    with pytest.raises(VanishingTotalError):
+        projector_weak_value(amplitude_split(dark_port_net, "X"))
 
 
 @given(st.floats(-np.pi, np.pi))
@@ -96,8 +104,7 @@ def test_global_phase_leaves_weak_values_alone(phi):
         dataclasses.replace(a, static_phase=phi) if a.id == "in" else a
         for a in net.arms
     )
-    ens = enumerate_paths(build_network(net.nodes, rotated))
-    w = weak_values(ens)
+    w = weak_values(build_network(net.nodes, rotated))
     assert w["A"] == pytest.approx(0.5, abs=1e-10)
     assert w["C"] == pytest.approx(1.0, abs=1e-10)
     assert abs(w["E"]) < 1e-10
@@ -119,12 +126,12 @@ def test_weak_observable_is_linear(b1, b2, scale):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
-def test_weak_observable_of_indicator_is_projector_weak_value(std_ens):
+def test_weak_observable_of_indicator_is_projector_weak_value(std_net, std_ens):
     alphas = relative_amplitudes(std_ens)
     for site in "ABCEF":
         indicator = [1.0 if site in p.sites else 0.0 for p in std_ens.paths]
         assert weak_observable(alphas, indicator) == pytest.approx(
-            projector_weak_value(std_ens, site), abs=1e-12
+            projector_weak_value(amplitude_split(std_net, site)), abs=1e-12
         )
 
 
@@ -151,8 +158,7 @@ def test_pointer_model_validation():
 
 def _quadrature_shift(ens, site, sigma, g):
     """Independent pointer-mean oracle: integrate the final pointer state."""
-    a1 = sum((p.amplitude for p in ens.paths if site in p.sites), 0j)
-    a0 = ens.total - a1
+    a0, a1 = route_amplitude_split(ens, site)
     half = 12.0 * sigma + abs(g)
     x = np.linspace(-half, half, 8001)
     psi = a0 * pointer_profile(x, sigma) + a1 * pointer_profile(x - g, sigma)
@@ -164,76 +170,102 @@ def _quadrature_shift(ens, site, sigma, g):
 
 @pytest.mark.parametrize("site", ["A", "B", "C"])
 @pytest.mark.parametrize("sigma,g", [(1.0, 0.5), (1.0, 0.125), (0.7, 0.35), (2.0, 1.0)])
-def test_pointer_shift_matches_quadrature(std_ens, site, sigma, g):
+def test_pointer_shift_matches_quadrature(std_net, std_ens, site, sigma, g):
     model = PointerModel(site=site, sigma=sigma, coupling=g)
-    exact = pointer_shift_exact(std_ens, model)
+    exact = pointer_shift_exact(amplitude_split(std_net, site), model)
     assert exact == pytest.approx(
         _quadrature_shift(std_ens, site, sigma, g), abs=1e-10
     )
 
 
-def test_pointer_shift_site_A_is_exactly_half_g(std_ens):
+def test_pointer_shift_site_A_is_exactly_half_g(std_net):
     # The through-site and bypass amplitudes at A are both 1/4, so the
     # two displaced pointer copies carry equal weight and the mean sits at
     # g/2 for every coupling strength, not merely in the weak limit.
     for g in (0.9, 0.5, 0.125, 0.03125):
         model = PointerModel(site="A", sigma=1.0, coupling=g)
-        assert abs(pointer_shift_exact(std_ens, model) - g / 2) < 1e-15
+        assert abs(pointer_shift_exact(amplitude_split(std_net, "A"), model) - g / 2) < 1e-15
 
 
-def test_pointer_weak_limit_converges_at_generic_site(std_ens):
+def test_pointer_weak_limit_converges_at_generic_site(std_net):
     # Site B has unequal through/bypass amplitudes, so the shift has a
     # genuine second-order correction: the first-order residual must fall
     # about fourfold per halving of g.
-    w = projector_weak_value(std_ens, "B").real
+    amps = amplitude_split(std_net, "B")
+    w = projector_weak_value(amps).real
     errors = []
     for g in (0.125, 0.0625, 0.03125):
         model = PointerModel(site="B", sigma=1.0, coupling=g)
-        errors.append(abs(pointer_shift_exact(std_ens, model) / g - w))
+        errors.append(abs(pointer_shift_exact(amps, model) / g - w))
     assert errors[0] > 1e-4
     for a, b in zip(errors, errors[1:]):
         assert 3.0 < a / b < 5.0
 
 
-def test_pointer_first_order_prediction(std_ens):
-    model = PointerModel(site="B", sigma=1.0, coupling=0.01)
-    exact = pointer_shift_exact(std_ens, model)
-    first = pointer_shift_weak(std_ens, model)
+def test_pointer_first_order_prediction(std_net):
+    # the pointer report is the one owner of the first-order g * Re(w)
+    amps = amplitude_split(std_net, "B")
+    exact = pointer_shift_exact(amps, PointerModel(site="B", sigma=1.0, coupling=0.01))
+    doc = reports.pointer_result("D", "B", 1.0, projector_weak_value(amps), [(0.01, exact)])
+    first = doc["readings"][0]["first_order"]
     assert first == pytest.approx(-0.005, abs=1e-12)
     assert exact == pytest.approx(first, abs=5e-5)
 
 
 def test_degenerate_pointer_raises(dark_port_net):
-    ens = enumerate_paths(dark_port_net)
+    amps = amplitude_split(dark_port_net, "X")
     with pytest.raises(DegeneratePointerError):
-        pointer_shift_exact(ens, PointerModel(site="X", sigma=1.0, coupling=0.0))
+        pointer_shift_exact(amps, PointerModel(site="X", sigma=1.0, coupling=0.0))
 
 
 def test_dark_port_pointer_with_coupling_is_finite(dark_port_net):
     # With the two routes cancelling, post-selection succeeds only through
     # the probe disturbance itself; by symmetry the conditioned mean sits
     # at g/2 even though no photon "should" be there.
-    ens = enumerate_paths(dark_port_net)
-    shift = pointer_shift_exact(ens, PointerModel(site="X", sigma=1.0, coupling=0.5))
+    amps = amplitude_split(dark_port_net, "X")
+    shift = pointer_shift_exact(amps, PointerModel(site="X", sigma=1.0, coupling=0.5))
     assert shift == pytest.approx(0.25, abs=1e-12)
 
 
-def test_pointer_unknown_site(std_ens):
+def test_pointer_unknown_site(std_net):
     with pytest.raises(UnknownLabelError):
-        pointer_shift_exact(std_ens, PointerModel(site="Z", sigma=1.0, coupling=0.1))
+        pointer_shift_exact(
+            amplitude_split(std_net, "Z"), PointerModel(site="Z", sigma=1.0, coupling=0.1)
+        )
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e-3, 1e300])
-def test_pointer_shift_depends_on_coupling_over_width(std_ens, sigma):
+def test_pointer_shift_depends_on_coupling_over_width(std_net, sigma):
     # the overlap is a function of g / sigma alone, so scaling both scales
     # the shift; sigma**2 itself would under- or overflow at these widths
+    amps = amplitude_split(std_net, "B")
     for g in (0.5, 0.125):
-        ref = pointer_shift_exact(std_ens, PointerModel(site="B", sigma=1.0, coupling=g))
+        ref = pointer_shift_exact(amps, PointerModel(site="B", sigma=1.0, coupling=g))
         model = PointerModel(site="B", sigma=sigma, coupling=g * sigma)
-        assert pointer_shift_exact(std_ens, model) / sigma == pytest.approx(ref, rel=1e-14)
+        assert pointer_shift_exact(amps, model) / sigma == pytest.approx(ref, rel=1e-14)
 
 
-def test_pointer_shift_far_beyond_the_width(std_ens):
+def test_pointer_shift_far_beyond_the_width(std_net):
     # g / sigma = 1e300: the displaced copies no longer overlap at all
     model = PointerModel(site="A", sigma=1e-300, coupling=1.0)
-    assert pointer_shift_exact(std_ens, model) == pytest.approx(0.5, abs=1e-15)
+    shift = pointer_shift_exact(amplitude_split(std_net, "A"), model)
+    assert shift == pytest.approx(0.5, abs=1e-15)
+
+
+def test_one_site_passes_match_the_route_sum_on_random_networks():
+    cases = 0
+    for seed in range(100):
+        net = random_layered_network(np.random.default_rng(seed))
+        for det in net.detectors:
+            ens = enumerate_paths(net, det)
+            if abs(ens.total) <= weakval.VANISHING_TOTAL_TOL:
+                continue
+            w = weak_values(net, detector=det)
+            for site in sorted(net.site_labels()):
+                assert abs(w[site] - route_weak_value(ens, site)) < 1e-12, (seed, det, site)
+                model = PointerModel(site=site, sigma=1.0, coupling=0.5)
+                shift = pointer_shift_exact(amplitude_split(net, site, det), model)
+                oracle = pointer_shift_exact(route_amplitude_split(ens, site), model)
+                assert abs(shift - oracle) < 1e-12, (seed, det, site)
+                cases += 1
+    assert cases > 500
