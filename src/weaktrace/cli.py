@@ -3,7 +3,7 @@
 Subcommands take a scenario JSON file and write a report document to
 stdout or --out.  Exit codes: 0 success, 2 malformed scenario (or
 unreadable input, or unwritable output), 3 invalid network (or too many
-routes to list), 4 numeric degeneracy (or a non-finite result).
+routes to list or read out), 4 numeric degeneracy (or a non-finite result).
 """
 
 from __future__ import annotations

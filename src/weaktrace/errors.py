@@ -54,7 +54,7 @@ class UnknownLabelError(NetworkError):
 
 
 class TooManyRoutesError(NetworkError):
-    """Route enumeration passed its step bound; the routes are too many to list."""
+    """Listing the routes, or reading out their classes, would pass a work bound."""
 
     code = "too_many_routes"
 

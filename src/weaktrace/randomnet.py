@@ -23,6 +23,8 @@ from .netgraph import (
     build_network,
 )
 
+MIRROR_PROB = 0.35
+
 
 def random_unitary_2x2(rng: np.random.Generator) -> Matrix2:
     """A Haar-ish random 2x2 unitary from three angles.
@@ -42,16 +44,12 @@ def random_unitary_2x2(rng: np.random.Generator) -> Matrix2:
     )
 
 
-def random_layered_network(
-    rng: np.random.Generator,
-    max_beam_splitters: int = 8,
-    mirror_prob: float = 0.35,
-) -> Network:
+def random_layered_network(rng: np.random.Generator, max_beam_splitters: int = 8) -> Network:
     """Grow a random acyclic splitter network.
 
     Starting from the source's single output, repeatedly take one or two
     open outputs and feed them into a fresh beam splitter with a random
-    unitary; sprinkle labeled mirrors onto some connections; finally
+    unitary; sprinkle labeled mirrors (chance MIRROR_PROB per hop); finally
     terminate every remaining open output on a detector or a sink (at
     least one detector is guaranteed).  Arms get random static phases and
     unit transmission, so the whole network is lossless.
@@ -77,7 +75,7 @@ def random_layered_network(
 
     def feed(src: tuple[str, int], dst: tuple[str, int]):
         # Optionally interpose a labeled mirror, making the hop a site.
-        if rng.uniform() < mirror_prob:
+        if rng.uniform() < MIRROR_PROB:
             counters["m"] += 1
             counters["site"] += 1
             mid = f"M{counters['m']}"

@@ -4,7 +4,8 @@ The JSON emitter is hand-rolled for reproducibility: floats are always
 rendered with %.17g, one fixed format that round-trips every double,
 dictionary order is insertion order, and numeric leaf arrays are kept on
 one line.
-Identical inputs therefore produce byte-identical documents.
+Identical inputs therefore produce byte-identical documents.  JSON and
+CSV floats all pass through ``_fmt_float``, which refuses NaN and inf.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def _render(value, indent: int) -> str:
     if isinstance(value, complex):
         return _render({"re": value.real, "im": value.imag}, indent)
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind == "f":
+            return "[" + ", ".join(map(_fmt_float, value.tolist())) + "]"
         return _render(value.tolist(), indent)
     if isinstance(value, dict):
         if not value:
@@ -192,15 +195,16 @@ def blocking_result(suite: BlockingSuite) -> dict:
     return {"configs": configs}
 
 
+def _csv(header: str, *columns) -> str:
+    """The header, then one row per index: the index and each column's float."""
+    cols = [map(_fmt_float, np.asarray(c, dtype=float).tolist()) for c in columns]
+    rows = (f"{k}," + ",".join(row) for k, row in enumerate(zip(*cols)))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def timeseries_csv(xbar, rate) -> str:
-    lines = ["k,xbar,rate"]
-    for k, (x, r) in enumerate(zip(xbar, rate)):
-        lines.append(f"{k},{format(float(x), FLOAT_FORMAT)},{format(float(r), FLOAT_FORMAT)}")
-    return "\n".join(lines) + "\n"
+    return _csv("k,xbar,rate", xbar, rate)
 
 
 def spectrum_csv(power) -> str:
-    lines = ["bin,power"]
-    for b, p in enumerate(power):
-        lines.append(f"{b},{format(float(p), FLOAT_FORMAT)}")
-    return "\n".join(lines) + "\n"
+    return _csv("bin,power", power)

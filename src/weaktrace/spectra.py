@@ -9,7 +9,8 @@ a site leaves a peak at its bin with power proportional to the square of
 A route's displacement depends only on which probed sites it passes, so
 the readout works on signature classes, the routes grouped by that site
 set with their amplitudes summed, taken from one forward pass over the
-network.  Its cost grows with the number of classes, not of routes.
+network.  The reading is ``weakval.post_selected_mean`` of the classes, as
+a ``pointer`` shift is of two; its cost, samples x classes^2, is bounded.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePointerError, UnknownLabelError
+from .errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelError
 from .netgraph import Network, apply_block
 from .pathsum import resolve_detector, signature_amplitudes
-from .weakval import DEGENERATE_NORM_TOL
+from .weakval import post_selected_mean
 
 ABSENT_POWER_TOL = 1e-20
 NOISE_FLOOR_FACTOR = 5.0
@@ -37,8 +38,10 @@ ABSENT = "absent"
 
 DEFAULT_SITE_BINS = (("A", 13), ("B", 17), ("C", 19), ("E", 23), ("F", 29))
 DEFAULT_SAMPLES = 4096
-# the readout holds a few samples x sites arrays; 2**20 samples is ~8 MB each
+# the readout holds a few samples x classes arrays; 2**20 samples is 8 MB per class
 MAX_SAMPLES = 2**20
+# bound on samples x classes^2, over 100 times the largest benchmark or test input
+MAX_READOUT_PAIRS = 2**30
 # the standard network's dark arms, blocked one at a time by default
 STANDARD_BLOCK_SITES = ("E", "F")
 
@@ -129,16 +132,9 @@ def readout_timeseries(
     The displacement depends on the route only through S, its signature,
     so the routes are summed into one amplitude per signature class by a
     single forward pass (``pathsum.signature_amplitudes``), and no route
-    is ever enumerated.  The mean reading and the (relative) detection
-    rate follow from the pairwise Gaussian overlaps of the K displaced
-    class copies; both are exact in the depths, no weak expansion is
-    made.  The cost is O(N K^2) in samples N and classes K, which is at
-    most the number of routes.
-
-    With symmetric weights w_ij = Re(A_i conj A_j) and overlaps ov_ij,
-    the pair sum over the midpoints (D_i + D_j) / 2 reduces to
-    sum_i D_i r_i with row sums r_i = sum_j w_ij ov_ij, and the rate is
-    sum_i r_i.
+    is ever enumerated.  ``weakval.post_selected_mean`` of the K classes
+    gives the reading, exact in the depths, at a cost of O(N K^2); past
+    ``MAX_READOUT_PAIRS`` TooManyRoutesError is raised before it starts.
 
     Returns
     -------
@@ -152,44 +148,20 @@ def readout_timeseries(
     classes = signature_amplitudes(net, [sm.site for sm in plan.sites], target)
     if not classes:
         raise DegeneratePointerError(f"no paths reach detector {target!r}")
-
     n = plan.samples
-    amps = np.array(list(classes.values()), dtype=complex)
-    member = np.array(
-        [[sm.site in sig for sm in plan.sites] for sig in classes],
-        dtype=float,
-    )
+    if n * len(classes) ** 2 > MAX_READOUT_PAIRS:
+        raise TooManyRoutesError(
+            f"{len(classes)} signature classes at {n} samples exceed the "
+            f"readout bound of {MAX_READOUT_PAIRS} samples x classes^2"
+        )
+
+    member = np.array([[sm.site in sig for sm in plan.sites] for sig in classes], dtype=float)
     deltas = np.array([sm.delta for sm in plan.sites], dtype=float)
     bins = np.array([sm.bin for sm in plan.sites], dtype=float)
-
     k = np.arange(n, dtype=float)
-    # per-site displacement waveforms in units of sigma, shape (n, n_sites);
-    # the overlaps depend only on these, and xbar is scaled back at the end
+    # per-site displacement waveforms in units of sigma, shape (n, n_sites)
     waves = deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
-    disp = waves @ member.T  # (n, n_classes)
-
-    weights = np.real(np.outer(amps, amps.conj()))  # symmetric, (K, K)
-
-    xbar = np.empty(n)
-    rate = np.empty(n)
-    # chunks of about 512 kB of pair overlaps, which stay in cache
-    step = max(1, 65536 // amps.size**2)
-    for lo in range(0, n, step):
-        d = disp[lo : lo + step]
-        ov = d[:, :, None] - d[:, None, :]
-        ov *= ov
-        ov *= -0.125
-        np.exp(ov, out=ov)
-        rows = np.einsum("kij,ij->ki", ov, weights)  # r_i per sample, (step, K)
-        rate[lo : lo + step] = rows.sum(axis=1)
-        xbar[lo : lo + step] = (d * rows).sum(axis=1)
-
-    if float(np.min(rate)) < DEGENERATE_NORM_TOL:
-        raise DegeneratePointerError(
-            f"post-selected rate dips to {np.min(rate):.3e}, below "
-            f"{DEGENERATE_NORM_TOL:g}; pointer mean is undefined there"
-        )
-    xbar /= rate
+    xbar, rate = post_selected_mean(list(classes.values()), waves @ member.T)
     xbar *= sigma
     return xbar, rate
 
@@ -221,6 +193,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (math.isfinite(self.std) and self.std >= 0.0):
             raise ValueError(f"noise std {self.std!r} invalid")
+        if self.seed < 0:
+            raise ValueError(f"noise seed {self.seed!r} is negative")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ and A0 that of the rest, both from one forward pass, the weak value of
 the projector onto the site is A1 / (A0 + A1).  Relative amplitudes of
 single routes, A_i / sum_j A_j, serve the per-route table of ``weak``.
 
-The pointer model treats one site's probe exactly, with no weak-coupling
-expansion: a Gaussian profile of width sigma is displaced by g on the
-routes through the site, and the post-selected mean displacement follows
-from (A0, A1) in closed form.
+A Gaussian pointer of width sigma, displaced by its own amount on each
+class of routes, reads the post-selected mean that ``post_selected_mean``
+computes with no weak-coupling expansion.  ``pointer_shift_exact`` is its
+two-class case, (A0, A1) displaced by 0 and g; the spectral readout is
+its K-class case, one reading per sample.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .netgraph import Network
 from .pathsum import PathEnsemble, signature_amplitudes
 
 VANISHING_TOTAL_TOL = 1e-14
-# smallest post-selected pointer norm (or spectral detection rate) that
-# still defines a mean reading
+# smallest post-selected rate (pointer norm) that still defines a mean
+# reading, checked in post_selected_mean alone
 DEGENERATE_NORM_TOL = 1e-14
 
 
@@ -129,29 +130,51 @@ def pointer_profile(x, sigma: float):
     return norm * np.exp(-(x**2) / (4.0 * sigma**2))
 
 
-def pointer_shift_exact(amps: tuple[complex, complex], model: PointerModel) -> float:
-    """Exact post-selected mean pointer displacement.
+def post_selected_mean(amps, disp) -> tuple[np.ndarray, np.ndarray]:
+    """Exact post-selected mean pointer reading and rate of displaced copies.
 
-    ``amps`` is (A0, A1) for the model's site, as ``amplitude_split``
-    returns it.  Routes through the site displace the pointer by g, the
-    rest leave it centered, so the final pointer state is
-    A0 G(x) + A1 G(x - g) up to normalization, and the mean of x follows
-    from the Gaussian overlap exp(-g^2 / (8 sigma^2)) with no small-g
-    approximation.
+    ``amps`` holds the summed amplitudes A_i of K route classes and ``disp``
+    their displacements d_i in units of sigma, an (n, K) array with one row
+    per reading; the pointer ends in sum_i A_i G(x - d_i sigma).  With
+    weights w_ij = Re(A_i conj A_j) and overlaps ov_ij = exp(-(d_i - d_j)^2 / 8)
+    of the copies, the rate (post-selected norm) is sum_i r_i with row sums
+    r_i = sum_j w_ij ov_ij, and the mean, a pair sum over the midpoints
+    (d_i + d_j) / 2, is sum_i d_i r_i / rate.  The cost is O(n K^2).
 
-    Raises DegeneratePointerError when the post-selected norm vanishes.
+    Returns (mean, rate), arrays of length n, the mean in units of sigma.
+    Raises DegeneratePointerError when a rate is below DEGENERATE_NORM_TOL.
     """
-    a0, a1 = amps
-    g = model.coupling
-    # the overlap depends only on g / sigma; r * r overflows to inf, not an error
-    r = g / model.sigma
-    ov = math.exp(-(r * r) / 8.0)
-    cross = (a0.conjugate() * a1).real
-    norm = abs(a0) ** 2 + abs(a1) ** 2 + 2.0 * cross * ov
-    if norm < DEGENERATE_NORM_TOL:
+    amps = np.asarray(amps, dtype=complex)
+    weights = np.real(np.outer(amps, amps.conj()))  # symmetric, (K, K)
+    mean, rate = np.empty((2, disp.shape[0]))
+    # chunks of about 512 kB of pair overlaps, which stay in cache
+    step = max(1, 65536 // amps.size**2)
+    # a separation far beyond the width squares to inf, and exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        for lo in range(0, disp.shape[0], step):
+            d = disp[lo : lo + step]
+            ov = d[:, :, None] - d[:, None, :]
+            ov *= ov
+            ov *= -0.125
+            np.exp(ov, out=ov)
+            rows = np.einsum("kij,ij->ki", ov, weights)  # r_i per reading, (step, K)
+            rate[lo : lo + step] = rows.sum(axis=1)
+            mean[lo : lo + step] = (d * rows).sum(axis=1)
+    if float(np.min(rate)) < DEGENERATE_NORM_TOL:
         raise DegeneratePointerError(
-            f"post-selected pointer norm {norm:.3e} below "
-            f"{DEGENERATE_NORM_TOL:g} for site {model.site!r}"
+            f"post-selected rate dips to {np.min(rate):.3e}, below "
+            f"{DEGENERATE_NORM_TOL:g}; pointer mean is undefined there"
         )
-    mean = (abs(a1) ** 2) * g + 2.0 * cross * (g / 2.0) * ov
-    return mean / norm
+    mean /= rate
+    return mean, rate
+
+
+def pointer_shift_exact(amps: tuple[complex, complex], model: PointerModel) -> float:
+    """Exact post-selected mean pointer displacement at the model's site.
+
+    ``amps`` is (A0, A1) as ``amplitude_split`` returns it; the routes
+    through the site move the pointer by g and the rest leave it: the
+    two-class, one-reading case of ``post_selected_mean``.
+    """
+    mean, _ = post_selected_mean(amps, np.array([[0.0, model.coupling / model.sigma]]))
+    return float(mean[0]) * model.sigma

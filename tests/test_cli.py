@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from weaktrace import cli, pathsum, reports, weakval
+from weaktrace import cli, pathsum, reports, spectra, weakval
 from weaktrace.cli import main
+from weaktrace.errors import NonFiniteResultError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -375,6 +376,13 @@ def test_non_finite_result_exits_4(tmp_path, capsys):
     assert not (tmp_path / "csv").exists()
 
 
+def test_non_finite_csv_value_is_refused():
+    with pytest.raises(NonFiniteResultError):
+        reports.timeseries_csv([float("nan")], [1.0])
+    with pytest.raises(NonFiniteResultError):
+        reports.spectrum_csv([0.0, float("inf")])
+
+
 def test_too_many_samples_is_schema_error(tmp_path, capsys):
     doc = {"network": "standard", "experiment": {"kind": "spectral", "samples": 2**60}}
     scn = write(tmp_path, "huge.json", json.dumps(doc))
@@ -458,6 +466,23 @@ def test_pointer_has_no_route_limit(tmp_path, capsys):
     assert result["weak_value"]["re"] == pytest.approx(1.0, abs=1e-12)
     for reading in result["readings"]:
         assert reading["shift"] == pytest.approx(reading["coupling"], abs=1e-12)
+
+
+def test_readout_bound_exits_3_before_the_readout(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the readout ran")
+
+    monkeypatch.setattr(spectra, "post_selected_mean", refuse)
+    # probing every upper arm splits the 2**10 routes into 1024 classes
+    doc = hadamard_cascade_scenario(10)
+    plan = {f"s{s}u": {"delta": 0.01, "bin": 13 + 2 * s} for s in range(10)}
+    doc["experiment"] = {"kind": "spectral", "samples": 4096, "plan": plan}
+    code, out, err = run(capsys, ["spectrum", write(tmp_path, "cascade.json", json.dumps(doc))])
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "too_many_routes"
+    assert "1024 signature classes at 4096 samples" in error["message"]
 
 
 def count_forward_passes(monkeypatch):

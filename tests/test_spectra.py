@@ -228,6 +228,17 @@ def test_readout_rejects_bad_sigma(std_net):
         readout_timeseries(std_net, default_plan(), sigma=0.0)
 
 
+def test_readout_work_is_bounded(std_net, monkeypatch):
+    plan = default_plan(0.01, samples=64)
+    pairs = 64 * len(signature_amplitudes(std_net, [sm.site for sm in plan.sites])) ** 2
+    monkeypatch.setattr(spectra, "MAX_READOUT_PAIRS", pairs)
+    readout_timeseries(std_net, plan, sigma=1.0)
+    monkeypatch.setattr(spectra, "MAX_READOUT_PAIRS", pairs - 1)
+    with pytest.raises(TooManyRoutesError) as err:
+        readout_timeseries(std_net, plan, sigma=1.0)
+    assert err.value.exit_code == 3
+
+
 # ---------------------------------------------------------------- spectra
 
 
@@ -299,6 +310,12 @@ def test_spectral_determinism(std_net):
         std_net, default_plan(0.01), 1.0, noise=NoiseModel(std=1e-4, seed=12346)
     )
     assert not np.array_equal(a.xbar, c.xbar)
+
+
+def test_noise_model_rejects_negative_seed():
+    assert NoiseModel(std=1e-4, seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed"):
+        NoiseModel(std=1e-4, seed=-1)
 
 
 def test_report_is_self_consistent(std_net):
