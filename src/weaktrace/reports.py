@@ -1,11 +1,16 @@
 """Report documents and their deterministic serialization.
 
-The JSON emitter is hand-rolled for reproducibility: floats are always
-rendered with %.17g, one fixed format that round-trips every double,
-dictionary order is insertion order, and numeric leaf arrays are kept on
-one line.
-Identical inputs therefore produce byte-identical documents.  JSON and
-CSV floats all pass through ``_fmt_float``, which refuses NaN and inf.
+The JSON emitter is hand-rolled for reproducibility: every float, in the
+JSON reports and the CSV files alike, is written with the one format
+``FLOAT_FORMAT`` (%.17g, which round-trips every double), dictionary
+order is insertion order, and numeric leaf arrays are kept on one line.
+Identical inputs therefore produce byte-identical documents.
+
+NaN and inf are refused with ``NonFiniteResultError``, which names the
+first such value.  A float array or a whole CSV table is checked with one
+array-wide ``np.isfinite`` test and written with one ``%`` call on a
+template that repeats ``FLOAT_FORMAT``; a lone float is checked and
+written on its own, with the same format and the same message.
 """
 
 from __future__ import annotations
@@ -22,59 +27,88 @@ from .spectra import BlockingSuite, SpectralReport
 
 VERSION = "0.1.0"
 
-FLOAT_FORMAT = ".17g"
+FLOAT_FORMAT = "%.17g"
+
+# the C encoder behind json.dumps(str, ensure_ascii=True)
+_encode_str = json.encoder.encode_basestring_ascii
+
+# types that keep a list on one line (subclasses included)
+_SCALARS = (bool, int, float, str, np.integer, np.floating, type(None))
+
+
+def _non_finite(x) -> NonFiniteResultError:
+    return NonFiniteResultError(f"the result holds a non-finite value ({float(x)!r})")
 
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise NonFiniteResultError(f"the result holds a non-finite value ({x!r})")
-    return format(x, FLOAT_FORMAT)
+        raise _non_finite(x)
+    return FLOAT_FORMAT % x
 
 
-def _is_scalar(v) -> bool:
-    return v is None or isinstance(
-        v, (bool, int, float, str, np.integer, np.floating)
-    )
+def _fmt_floats(values: np.ndarray, template: str) -> str:
+    """``template`` filled with every float of ``values`` in C order."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _non_finite(values[~finite][0])
+    return template % tuple(values.ravel().tolist())
 
 
 def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=True)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, complex):
-        return _render({"re": value.real, "im": value.imag}, indent)
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.kind == "f":
-            return "[" + ", ".join(map(_fmt_float, value.tolist())) + "]"
-        return _render(value.tolist(), indent)
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float:
+        return _fmt_float(value)
+    if kind is dict:
         if not value:
             return "{}"
-        lines = []
+        items = []
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string report key: {key!r}")
-            lines.append(
-                f"{pad}  {json.dumps(key, ensure_ascii=True)}: "
-                f"{_render(item, indent + 1)}"
-            )
-        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
+            items.append(_encode_str(key) + ": " + _render(item, indent + 1))
+        inner = "\n" + "  " * (indent + 1)
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * indent + "}"
+    if kind is list:
+        if not value:
             return "[]"
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(_render(v, indent + 1) for v in items) + "]"
-        lines = [f"{pad}  {_render(v, indent + 1)}" for v in items]
-        return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            return "[" + ", ".join(map(_encode_str, value)) + "]"
+        if kinds == {float}:
+            return _fmt_floats(np.array(value), "[" + ", ".join([FLOAT_FORMAT] * len(value)) + "]")
+        items = [_render(v, indent + 1) for v in value]
+        if all(issubclass(k, _SCALARS) for k in kinds):
+            return "[" + ", ".join(items) + "]"
+        inner = "\n" + "  " * (indent + 1)
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * indent + "]"
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return _render(_builtin(value), indent)
+
+
+def _builtin(value):
+    """The built-in value that a numpy scalar or array, a complex number, a
+    tuple or a subclass of a built-in type is written as."""
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return list(value)
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
@@ -197,9 +231,13 @@ def blocking_result(suite: BlockingSuite) -> dict:
 
 def _csv(header: str, *columns) -> str:
     """The header, then one row per index: the index and each column's float."""
-    cols = [map(_fmt_float, np.asarray(c, dtype=float).tolist()) for c in columns]
-    rows = (f"{k}," + ",".join(row) for k, row in enumerate(zip(*cols)))
-    return "\n".join([header, *rows]) + "\n"
+    n = len(columns[0])
+    table = np.column_stack(
+        [np.arange(n, dtype=float)] + [np.asarray(c, dtype=float) for c in columns]
+    )
+    # "%.17g" writes every index below 2**53 as its integer digits
+    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+    return header + "\n" + _fmt_floats(table, row * n)
 
 
 def timeseries_csv(xbar, rate) -> str:
