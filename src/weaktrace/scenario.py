@@ -3,9 +3,12 @@
 A scenario names a network (the standard nested layout, possibly with
 scatter overrides and blocked sites, or a fully custom node/arm list) and
 optionally one experiment section.  Parsing is strict: unknown keys,
-wrong types, and out-of-range values raise SchemaError with the JSON
-path of the offending entry.  Semantic problems that need the assembled
-graph (non-unitary scatter, cycles, unknown site labels) are deferred to
+wrong types, and out-of-range values raise SchemaError naming the JSON
+path of the first bad value, such as ``$.network.arms[3].from[0]``; of
+several missing required keys, the first in a fixed order is named.  Each
+reader takes only the value it reads, and the path is spelled only when a
+check fails.  Semantic problems that need the assembled graph
+(non-unitary scatter, cycles, unknown site labels) are deferred to
 network construction.
 
 ``parse_scenario`` fills every default, and ``scenario_doc`` renders a
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import SchemaError, UnknownLabelError
@@ -105,6 +109,14 @@ EXPERIMENT_KINDS = {
     "blocking": BlockingExperiment,
 }
 
+_EXPERIMENT_KEYS = {
+    "paths": ("kind", "detector"),
+    "weak_values": ("kind", "detector", "sites"),
+    "pointer": ("kind", "detector", "site", "sigma", "couplings"),
+    "spectral": ("kind", "detector", "sigma", "samples", "plan", "noise"),
+    "blocking": ("kind", "detector", "sigma", "samples", "plan", "block_sites"),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -112,301 +124,286 @@ class Scenario:
     experiment: Experiment | None = None
 
 
-def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str] = frozenset()):
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}", "unknown key")
+class _Invalid(Exception):
+    """A failed check.  ``keys`` locates it, innermost object key or array
+    index first; ``_at`` appends one as the error leaves each container."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.keys = [] if key is None else [key]
+
+
+@contextmanager
+def _schema_errors():
+    """Raise a failed check as SchemaError, its keys spelled as a JSON path."""
+    try:
+        yield
+    except _Invalid as exc:
+        path = "$" + "".join(
+            f"[{key}]" if isinstance(key, int) else f".{key}" for key in reversed(exc.keys)
+        )
+        raise SchemaError(path, str(exc)) from exc.__cause__
+
+
+_REQUIRED = object()
+
+
+def _at(container, key, read, default=_REQUIRED):
+    """``read(container[key])``, with a failed check inside it moved under
+    ``key``.  Given a ``default``, an absent object key returns it."""
+    if default is not _REQUIRED and key not in container:
+        return default
+    try:
+        return read(container[key])
+    except _Invalid as exc:
+        exc.keys.append(key)
+        raise
+
+
+def _check_keys(obj: dict, allowed, required: tuple[str, ...] = ()):
+    """Reject a key outside ``allowed`` (any key if None), then the first missing one."""
+    if allowed is not None:
+        for key in obj:
+            if key not in allowed:
+                raise _Invalid("unknown key", key)
     for key in required:
         if key not in obj:
-            raise SchemaError(path, f"missing required key {key!r}")
+            raise _Invalid(f"missing required key {key!r}")
 
 
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
-    return value
+def _typed(kind: type, name: str):
+    """A reader that accepts only a value whose type is exactly ``kind``;
+    ``json.loads`` makes no subclasses, so this keeps booleans out of ints."""
+
+    def read(value):
+        if type(value) is not kind:
+            raise _Invalid(f"expected {name}, got {type(value).__name__}")
+        return value
+
+    return read
 
 
-def _array(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected an array, got {type(value).__name__}")
-    return value
+_object = _typed(dict, "an object")
+_array = _typed(list, "an array")
+_string = _typed(str, "a string")
+_integer = _typed(int, "an integer")
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
+def _number(value) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise _Invalid(f"expected a number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal past the float range
+        out = math.inf
     if not math.isfinite(out):
-        raise SchemaError(path, "number must be finite")
+        raise _Invalid("number must be finite")
     return out
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
-    return value
+def _items(read):
+    """A reader of a JSON array whose every item ``read`` reads."""
+
+    def read_items(value) -> tuple:
+        items = _array(value)
+        return tuple([_at(items, i, read) for i in range(len(items))])
+
+    return read_items
 
 
-def _complex(value, path: str) -> complex:
+_string_list = _items(_string)
+
+
+def _complex(value) -> complex:
     """A JSON number, or an object {"re": x, "im": y}."""
     if isinstance(value, dict):
-        _check_keys(value, path, {"re", "im"}, {"re", "im"})
-        return complex(_number(value["re"], f"{path}.re"), _number(value["im"], f"{path}.im"))
-    return complex(_number(value, path))
+        _check_keys(value, ("re", "im"), ("re", "im"))
+        return complex(_at(value, "re", _number), _at(value, "im", _number))
+    return complex(_number(value))
 
 
-def _matrix(value, path: str) -> Matrix2:
-    rows = _array(value, path)
-    if len(rows) != 2:
-        raise SchemaError(path, f"expected 2 rows, got {len(rows)}")
-    out = []
-    for i, row in enumerate(rows):
-        cells = _array(row, f"{path}[{i}]")
-        if len(cells) != 2:
-            raise SchemaError(f"{path}[{i}]", f"expected 2 entries, got {len(cells)}")
-        out.append(tuple(_complex(c, f"{path}[{i}][{j}]") for j, c in enumerate(cells)))
-    return (out[0], out[1])
+def _pair(first, second, wrong_length: str):
+    """A reader of a two-item JSON array, its items read by ``first`` and
+    ``second``; any other length fails with ``wrong_length.format(length)``."""
+
+    def read_pair(value):
+        items = _array(value)
+        if len(items) != 2:
+            raise _Invalid(wrong_length.format(len(items)))
+        return _at(items, 0, first), _at(items, 1, second)
+
+    return read_pair
 
 
-def _string_list(value, path: str) -> tuple[str, ...]:
-    return tuple(_string(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path)))
+_row = _pair(_complex, _complex, "expected 2 entries, got {}")
+_matrix = _pair(_row, _row, "expected 2 rows, got {}")
+_endpoint = _pair(_string, _integer, "expected [node_id, port]")
 
 
-def _parse_node(value, path: str) -> Node:
-    obj = _object(value, path)
-    _check_keys(obj, path, {"id", "kind", "scatter", "label"}, {"id", "kind"})
-    kind = _string(obj["kind"], f"{path}.kind")
+def _probe(value) -> Modulation:
+    """A probe's {"delta", "bin"}, on an arm or in an experiment plan."""
+    obj = _object(value)
+    _check_keys(obj, ("delta", "bin"), ("delta", "bin"))
+    return Modulation(delta=_at(obj, "delta", _number), bin=_at(obj, "bin", _integer))
+
+
+def _node(value) -> Node:
+    obj = _object(value)
+    _check_keys(obj, ("id", "kind", "scatter", "label"), ("id", "kind"))
+    kind = _at(obj, "kind", _string)
     if kind not in NODE_KINDS:
-        raise SchemaError(f"{path}.kind", f"unknown node kind {kind!r}")
-    scatter = None
-    if "scatter" in obj:
-        scatter = _matrix(obj["scatter"], f"{path}.scatter")
-    label = _string(obj["label"], f"{path}.label") if "label" in obj else None
-    return Node(id=_string(obj["id"], f"{path}.id"), kind=kind, scatter=scatter, label=label)
+        raise _Invalid(f"unknown node kind {kind!r}", "kind")
+    scatter = _at(obj, "scatter", _matrix, None)
+    label = _at(obj, "label", _string, None)
+    return Node(id=_at(obj, "id", _string), kind=kind, scatter=scatter, label=label)
 
 
-def _parse_endpoint(value, path: str) -> tuple[str, int]:
-    pair = _array(value, path)
-    if len(pair) != 2:
-        raise SchemaError(path, "expected [node_id, port]")
-    return _string(pair[0], f"{path}[0]"), _integer(pair[1], f"{path}[1]")
-
-
-def _parse_arm(value, path: str) -> Arm:
-    obj = _object(value, path)
-    _check_keys(
-        obj,
-        path,
-        {"id", "from", "to", "label", "phase", "transmission", "modulation"},
-        {"id", "from", "to"},
-    )
-    from_node, from_port = _parse_endpoint(obj["from"], f"{path}.from")
-    to_node, to_port = _parse_endpoint(obj["to"], f"{path}.to")
-    modulation = None
-    if "modulation" in obj:
-        mod = _object(obj["modulation"], f"{path}.modulation")
-        _check_keys(mod, f"{path}.modulation", {"delta", "bin"}, {"delta", "bin"})
-        modulation = Modulation(
-            delta=_number(mod["delta"], f"{path}.modulation.delta"),
-            bin=_integer(mod["bin"], f"{path}.modulation.bin"),
-        )
+def _arm(value) -> Arm:
+    obj = _object(value)
+    allowed = ("id", "from", "to", "label", "phase", "transmission", "modulation")
+    _check_keys(obj, allowed, ("id", "from", "to"))
+    # from_node, from_port, to_node, to_port
+    ends = (*_at(obj, "from", _endpoint), *_at(obj, "to", _endpoint))
+    modulation = _at(obj, "modulation", _probe, None)
     return Arm(
-        id=_string(obj["id"], f"{path}.id"),
-        from_node=from_node,
-        from_port=from_port,
-        to_node=to_node,
-        to_port=to_port,
-        label=_string(obj["label"], f"{path}.label") if "label" in obj else None,
-        static_phase=_number(obj["phase"], f"{path}.phase") if "phase" in obj else 0.0,
-        transmission=(
-            _number(obj["transmission"], f"{path}.transmission")
-            if "transmission" in obj
-            else 1.0
-        ),
+        _at(obj, "id", _string),
+        *ends,
+        label=_at(obj, "label", _string, None),
+        static_phase=_at(obj, "phase", _number, 0.0),
+        transmission=_at(obj, "transmission", _number, 1.0),
         modulation=modulation,
     )
 
 
-def _parse_network(value, path: str) -> NetworkSection:
+def _standard_scatter(value) -> tuple[tuple[str, Matrix2], ...]:
+    obj = _object(value)
+    for name in obj:
+        if name not in STANDARD_SPLITTERS:
+            raise _Invalid("unknown splitter", name)
+    return tuple((name, _at(obj, name, _matrix)) for name in STANDARD_SPLITTERS if name in obj)
+
+
+def _network(value) -> NetworkSection:
     if isinstance(value, str):
         if value != "standard":
-            raise SchemaError(path, f"unknown network shorthand {value!r}")
+            raise _Invalid(f"unknown network shorthand {value!r}")
         return NetworkSection(kind="standard")
-    obj = _object(value, path)
-    kind = _string(obj.get("kind"), f"{path}.kind") if "kind" in obj else None
+    obj = _object(value)
+    kind = _at(obj, "kind", _string, None)
     if kind == "standard":
-        _check_keys(obj, path, {"kind", "scatter", "blocks"})
-        scatter = []
-        if "scatter" in obj:
-            sc = _object(obj["scatter"], f"{path}.scatter")
-            for name in sc:
-                if name not in STANDARD_SPLITTERS:
-                    raise SchemaError(f"{path}.scatter.{name}", "unknown splitter")
-            for name in STANDARD_SPLITTERS:
-                if name in sc:
-                    scatter.append((name, _matrix(sc[name], f"{path}.scatter.{name}")))
-        blocks = _string_list(obj["blocks"], f"{path}.blocks") if "blocks" in obj else ()
-        return NetworkSection(kind="standard", scatter=tuple(scatter), blocks=blocks)
-    if kind == "custom":
-        _check_keys(obj, path, {"kind", "nodes", "arms", "blocks"}, {"nodes", "arms"})
-        nodes = tuple(
-            _parse_node(v, f"{path}.nodes[{i}]")
-            for i, v in enumerate(_array(obj["nodes"], f"{path}.nodes"))
-        )
-        arms = tuple(
-            _parse_arm(v, f"{path}.arms[{i}]")
-            for i, v in enumerate(_array(obj["arms"], f"{path}.arms"))
-        )
-        blocks = _string_list(obj["blocks"], f"{path}.blocks") if "blocks" in obj else ()
-        return NetworkSection(kind="custom", nodes=nodes, arms=arms, blocks=blocks)
-    raise SchemaError(f"{path}.kind", "expected \"standard\" or \"custom\"")
+        _check_keys(obj, ("kind", "scatter", "blocks"))
+        parts = {"scatter": _at(obj, "scatter", _standard_scatter, ())}
+    elif kind == "custom":
+        _check_keys(obj, ("kind", "nodes", "arms", "blocks"), ("nodes", "arms"))
+        parts = {"nodes": _at(obj, "nodes", _items(_node)), "arms": _at(obj, "arms", _items(_arm))}
+    else:
+        raise _Invalid('expected "standard" or "custom"', "kind")
+    return NetworkSection(kind=kind, blocks=_at(obj, "blocks", _string_list, ()), **parts)
 
 
-def _parse_plan(obj, path: str, samples: int) -> ModulationPlan:
-    plan_obj = _object(obj, path)
-    site_mods = []
-    for site in sorted(plan_obj):
-        entry = _object(plan_obj[site], f"{path}.{site}")
-        _check_keys(entry, f"{path}.{site}", {"delta", "bin"}, {"delta", "bin"})
-        site_mods.append(
-            SiteModulation(
-                site=site,
-                delta=_number(entry["delta"], f"{path}.{site}.delta"),
-                bin=_integer(entry["bin"], f"{path}.{site}.bin"),
-            )
-        )
-    try:
-        return ModulationPlan(sites=tuple(site_mods), samples=samples)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+def _plan_sites(value) -> tuple[SiteModulation, ...]:
+    obj = _object(value)
+    probes = {site: _at(obj, site, _probe) for site in sorted(obj)}
+    return tuple(SiteModulation(site, p.delta, p.bin) for site, p in probes.items())
 
 
-def _default_spectral_plan(network: NetworkSection, samples: int, path: str) -> ModulationPlan:
-    """The plan to use when the experiment section does not give one.
-
-    The standard network gets the standard five-site plan; a custom
-    network must declare probes on its arms (collected here) or spell the
-    plan out in the experiment section.
-    """
-    if network.kind == "standard":
-        return default_plan(samples=samples)
-    try:
-        plan = plan_from_network(network, samples)
-    except (UnknownLabelError, ValueError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-    if not plan.sites:
-        raise SchemaError(
-            path,
-            "a custom network needs an explicit plan or arm modulations",
-        )
-    return plan
+def _width(value) -> float:
+    sigma = _number(value)
+    if sigma <= 0.0:
+        raise _Invalid("pointer width must be positive")
+    return sigma
 
 
-def _parse_noise(value, path: str) -> NoiseModel:
-    obj = _object(value, path)
-    _check_keys(obj, path, {"std", "seed"}, {"std"})
-    std = _number(obj["std"], f"{path}.std")
+def _coupling(value, sigma: float) -> float:
+    g = _number(value)
+    if not math.isfinite(g / sigma):
+        raise _Invalid("coupling / sigma must be finite")
+    return g
+
+
+def _samples(value) -> int:
+    samples = _integer(value)
+    if samples < 4 or samples > MAX_SAMPLES or samples & (samples - 1):
+        raise _Invalid(f"{samples} is not a power of two in [4, {MAX_SAMPLES}]")
+    return samples
+
+
+def _noise(value) -> NoiseModel:
+    obj = _object(value)
+    _check_keys(obj, ("std", "seed"), ("std",))
+    std = _at(obj, "std", _number)
     if std < 0.0:
-        raise SchemaError(f"{path}.std", "noise std must be non-negative")
-    seed = _integer(obj["seed"], f"{path}.seed") if "seed" in obj else 0
+        raise _Invalid("noise std must be non-negative", "std")
+    seed = _at(obj, "seed", _integer, 0)
     if seed < 0:
-        raise SchemaError(f"{path}.seed", "seed must be non-negative")
+        raise _Invalid("seed must be non-negative", "seed")
     return NoiseModel(std=std, seed=seed)
 
 
-def _parse_experiment(value, path: str, network: NetworkSection) -> Experiment:
-    obj = _object(value, path)
-    if "kind" not in obj:
-        raise SchemaError(path, "missing required key 'kind'")
-    kind = _string(obj["kind"], f"{path}.kind")
+def _experiment(value, network: NetworkSection) -> Experiment:
+    obj = _object(value)
+    _check_keys(obj, None, ("kind",))
+    kind = _at(obj, "kind", _string)
     if kind not in EXPERIMENT_KINDS:
-        raise SchemaError(f"{path}.kind", f"unknown experiment kind {kind!r}")
-    detector = _string(obj["detector"], f"{path}.detector") if "detector" in obj else None
+        raise _Invalid(f"unknown experiment kind {kind!r}", "kind")
+    detector = _at(obj, "detector", _string, None)
+    _check_keys(obj, _EXPERIMENT_KEYS[kind], ("site",) if kind == "pointer" else ())
 
     if kind == "paths":
-        _check_keys(obj, path, {"kind", "detector"})
         return PathsExperiment(detector=detector)
-
     if kind == "weak_values":
-        _check_keys(obj, path, {"kind", "detector", "sites"})
-        sites = _string_list(obj["sites"], f"{path}.sites") if "sites" in obj else None
-        return WeakValuesExperiment(detector=detector, sites=sites)
+        return WeakValuesExperiment(detector=detector, sites=_at(obj, "sites", _string_list, None))
 
+    sigma = _at(obj, "sigma", _width, 1.0)
     if kind == "pointer":
-        _check_keys(obj, path, {"kind", "detector", "site", "sigma", "couplings"})
-        if "site" not in obj:
-            raise SchemaError(path, "missing required key 'site'")
-        sigma = _number(obj["sigma"], f"{path}.sigma") if "sigma" in obj else 1.0
-        if sigma <= 0.0:
-            raise SchemaError(f"{path}.sigma", "pointer width must be positive")
-        if "couplings" in obj:
-            couplings = tuple(
-                _number(v, f"{path}.couplings[{i}]")
-                for i, v in enumerate(_array(obj["couplings"], f"{path}.couplings"))
-            )
-        else:
-            couplings = tuple(f * sigma for f in DEFAULT_POINTER_COUPLING_FRACTIONS)
+        default_couplings = tuple(f * sigma for f in DEFAULT_POINTER_COUPLING_FRACTIONS)
+        couplings = _at(obj, "couplings", _items(lambda g: _coupling(g, sigma)), default_couplings)
         return PointerExperiment(
-            site=_string(obj["site"], f"{path}.site"),
-            sigma=sigma,
-            couplings=couplings,
-            detector=detector,
+            site=_at(obj, "site", _string), sigma=sigma, couplings=couplings, detector=detector
         )
 
-    # spectral and blocking share sigma, samples and the plan
-    common = {"kind", "detector", "sigma", "samples", "plan"}
-    allowed = common | ({"noise"} if kind == "spectral" else {"block_sites"})
-    _check_keys(obj, path, allowed)
-    sigma = _number(obj["sigma"], f"{path}.sigma") if "sigma" in obj else 1.0
-    if sigma <= 0.0:
-        raise SchemaError(f"{path}.sigma", "pointer width must be positive")
-    samples = _integer(obj["samples"], f"{path}.samples") if "samples" in obj else DEFAULT_SAMPLES
-    if samples < 4 or samples > MAX_SAMPLES or samples & (samples - 1):
-        raise SchemaError(
-            f"{path}.samples", f"{samples} is not a power of two in [4, {MAX_SAMPLES}]"
-        )
-    if "plan" in obj:
-        plan = _parse_plan(obj["plan"], f"{path}.plan", samples)
-    else:
-        plan = _default_spectral_plan(network, samples, f"{path}.plan")
+    # spectral and blocking share samples and the plan
+    samples = _at(obj, "samples", _samples, DEFAULT_SAMPLES)
+    try:
+        if "plan" in obj:
+            plan = ModulationPlan(sites=_at(obj, "plan", _plan_sites), samples=samples)
+        elif network.kind == "standard":
+            plan = default_plan(samples=samples)
+        else:  # the probes a custom network declares on its arms
+            plan = plan_from_network(network, samples)
+            if not plan.sites:
+                raise _Invalid("a custom network needs an explicit plan or arm modulations", "plan")
+    except (UnknownLabelError, ValueError) as exc:
+        raise _Invalid(str(exc), "plan") from exc
 
     if kind == "spectral":
-        noise = _parse_noise(obj["noise"], f"{path}.noise") if "noise" in obj else None
+        noise = _at(obj, "noise", _noise, None)
         return SpectralExperiment(sigma=sigma, plan=plan, noise=noise, detector=detector)
 
     # the standard network's dark arms; on a custom network, the probed sites
-    if "block_sites" in obj:
-        block_sites = _string_list(obj["block_sites"], f"{path}.block_sites")
-    elif network.kind == "standard":
-        block_sites = STANDARD_BLOCK_SITES
-    else:
-        block_sites = tuple(sm.site for sm in plan.sites)
-    if not block_sites:
-        raise SchemaError(f"{path}.block_sites", "must name at least one site")
-    return BlockingExperiment(
-        sigma=sigma, plan=plan, block_sites=block_sites, detector=detector
+    default_sites = (
+        STANDARD_BLOCK_SITES if network.kind == "standard" else tuple(sm.site for sm in plan.sites)
     )
+    block_sites = _at(obj, "block_sites", _string_list, default_sites)
+    if not block_sites:
+        raise _Invalid("must name at least one site", "block_sites")
+    return BlockingExperiment(sigma=sigma, plan=plan, block_sites=block_sites, detector=detector)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document from JSON text."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON ({exc.msg} at line {exc.lineno})") from exc
-    obj = _object(doc, "$")
-    _check_keys(obj, "$", {"network", "experiment"}, {"network"})
-    network = _parse_network(obj["network"], "$.network")
-    experiment = None
-    if "experiment" in obj:
-        experiment = _parse_experiment(obj["experiment"], "$.experiment", network)
+    with _schema_errors():
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise _Invalid(f"not valid JSON ({exc.msg} at line {exc.lineno})") from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer past the interpreter's digit limit, or nesting past its recursion limit
+            raise _Invalid(f"not valid JSON ({exc})") from exc
+        obj = _object(doc)
+        _check_keys(obj, ("network", "experiment"), ("network",))
+        network = _at(obj, "network", _network)
+        experiment = _at(obj, "experiment", lambda e: _experiment(e, network), None)
     return Scenario(network=network, experiment=experiment)
 
 
@@ -414,13 +411,15 @@ def default_experiment(scenario: Scenario, kind: str) -> Experiment:
     """The experiment a bare scenario implies for a given subcommand.
 
     It is the parse of a section that names only the kind, so every
-    default has one owner, ``_parse_experiment``.
+    default has one owner, ``_experiment``.
     """
-    if kind == "pointer":
-        raise SchemaError(
-            "$.experiment", "a pointer experiment section is required (no default site)"
-        )
-    return _parse_experiment({"kind": kind}, "$.experiment", scenario.network)
+    with _schema_errors():
+        if kind == "pointer":
+            raise _Invalid(
+                "a pointer experiment section is required (no default site)", "experiment"
+            )
+        bare = {"experiment": {"kind": kind}}
+        return _at(bare, "experiment", lambda e: _experiment(e, scenario.network))
 
 
 def build_scenario_network(section: NetworkSection) -> Network:

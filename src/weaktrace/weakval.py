@@ -106,7 +106,8 @@ class PointerModel:
     sigma : float
         Pointer width; must be positive.
     coupling : float
-        Displacement g imprinted on paths through the site.
+        Displacement g imprinted on paths through the site; g / sigma
+        must be finite.
     """
 
     site: str
@@ -116,8 +117,10 @@ class PointerModel:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"pointer width must be positive, got {self.sigma!r}")
-        if not math.isfinite(self.coupling):
-            raise ValueError("pointer coupling must be finite")
+        if not math.isfinite(self.coupling / self.sigma):
+            raise ValueError(
+                f"pointer coupling / width must be finite, got {self.coupling!r} / {self.sigma!r}"
+            )
 
 
 def pointer_profile(x, sigma: float):

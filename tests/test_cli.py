@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -394,6 +397,53 @@ def test_too_many_samples_is_schema_error(tmp_path, capsys):
     assert error["message"].startswith("$.experiment.samples: ")
 
 
+# a pointer width of 1e-300 put the second class's displacement at inf and
+# the readout at NaN, which ended as a non_finite_result exit 4
+@pytest.mark.filterwarnings("error")
+def test_overflowing_pointer_coupling_is_schema_error(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "pointer_site_b.json").read_text())
+    doc["experiment"].update(sigma=1e-300, couplings=[1e-301, 1e308])
+    scn = write(tmp_path, "overflow.json", json.dumps(doc))
+    code, out, err = run(capsys, ["pointer", scn])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "schema_error",
+        "message": "$.experiment.couplings[1]: coupling / sigma must be finite",
+    }
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"network": {"kind": "custom"}}', "$.network: missing required key 'nodes'"),
+        (
+            '{"network": {"kind": "custom", "nodes": [{}], "arms": []}}',
+            "$.network.nodes[0]: missing required key 'id'",
+        ),
+    ],
+    ids=["network", "node"],
+)
+def test_missing_keys_are_named_in_a_fixed_order(tmp_path, text, message):
+    # which of several missing keys is named must not follow the hash seed
+    scn = write(tmp_path, "missing.json", text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weaktrace.cli", "validate", scn],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        outputs.add(proc.stderr)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop()) == {"error": "schema_error", "message": message}
+
+
 def test_non_utf8_scenario_is_schema_error(tmp_path, capsys):
     scn = tmp_path / "bytes.json"
     scn.write_bytes(b"\xff\xfe{")
@@ -403,6 +453,32 @@ def test_non_utf8_scenario_is_schema_error(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "schema_error"
     assert error["message"].startswith("$: ")
+
+
+SPECTRAL_SIGMA = '{"network": "standard", "experiment": {"kind": "spectral", "sigma": %s}}'
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        # an integer past the float range
+        (SPECTRAL_SIGMA % ("1" + "0" * 400), "$.experiment.sigma"),
+        # past the digit limit that Python 3.11 sets on parsing an integer
+        (SPECTRAL_SIGMA % ("1" + "0" * 5000), None),
+        # nesting past the interpreter's recursion limit
+        ('{"network": %s%s}' % ("[" * 100000, "]" * 100000), "$"),
+    ],
+    ids=["past_float_range", "past_digit_limit", "nested_too_deep"],
+)
+def test_unreadable_json_values_are_schema_errors(tmp_path, capsys, text, path):
+    scn = write(tmp_path, "huge.json", text)
+    code, out, err = run(capsys, ["spectrum", scn])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "schema_error"
+    if path is not None:
+        assert error["message"].startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("option", ["--out", "--csv-dir"])

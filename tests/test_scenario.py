@@ -46,6 +46,16 @@ CUSTOM_DARK_PORT = {
 }
 
 
+def with_value(loc, value):
+    """CUSTOM_DARK_PORT with the value at key path ``loc`` set to ``value``."""
+    doc = json.loads(json.dumps(CUSTOM_DARK_PORT))
+    parent = doc
+    for key in loc[:-1]:
+        parent = parent[key]
+    parent[loc[-1]] = value
+    return doc
+
+
 def test_shorthand_standard():
     sc = parse_scenario('{"network": "standard"}')
     assert sc == Scenario(network=NetworkSection(kind="standard"))
@@ -328,6 +338,38 @@ def test_wrong_types_report_their_path():
             '{"network": "standard", "experiment": {"kind": "pointer", "site": "A", '
             '"couplings": [0.1, "x"]}}',
             "$.experiment.couplings[1]",
+        ),
+        (
+            json.dumps(with_value(("network", "nodes", 1, "scatter", 1, 0), {"re": 0, "im": "x"})),
+            "$.network.nodes[1].scatter[1][0].im",
+        ),
+        (json.dumps(with_value(("network", "arms", 2, "from", 0), 3)), "$.network.arms[2].from[0]"),
+        (json.dumps(with_value(("network", "arms", 2, "to", 1), "0")), "$.network.arms[2].to[1]"),
+        (
+            json.dumps(with_value(("network", "arms", 1, "modulation", "bin"), 9.5)),
+            "$.network.arms[1].modulation.bin",
+        ),
+        (
+            json.dumps(with_value(("network", "arms", 0, "colour"), "red")),
+            "$.network.arms[0].colour",
+        ),
+        (json.dumps(with_value(("network", "blocks"), [None])), "$.network.blocks[0]"),
+        (
+            '{"network": {"kind": "standard", "scatter": {"BS2": [[1, 0], [0]]}}}',
+            "$.network.scatter.BS2[1]",
+        ),
+        (
+            '{"network": "standard", "experiment": {"kind": "weak_values", "sites": ["A", 1]}}',
+            "$.experiment.sites[1]",
+        ),
+        (
+            '{"network": "standard", "experiment": {"kind": "blocking", "block_sites": [[]]}}',
+            "$.experiment.block_sites[0]",
+        ),
+        (
+            '{"network": "standard", "experiment": {"kind": "spectral", '
+            '"plan": {"A": {"delta": "x", "bin": 5}}}}',
+            "$.experiment.plan.A.delta",
         ),
     ]
     for text, path in cases:

@@ -156,6 +156,12 @@ def test_pointer_model_validation():
         PointerModel(site="A", sigma=1.0, coupling=float("inf"))
 
 
+def test_pointer_model_rejects_overflowing_displacement():
+    # g / sigma overflows to inf, and the readout would turn it into NaN
+    with pytest.raises(ValueError, match="coupling / width must be finite"):
+        PointerModel(site="A", sigma=1e-300, coupling=1e308)
+
+
 def _quadrature_shift(ens, site, sigma, g):
     """Independent pointer-mean oracle: integrate the final pointer state."""
     a0, a1 = route_amplitude_split(ens, site)
