@@ -7,7 +7,10 @@ static phase, an amplitude transmission factor, and optionally a slow
 sinusoidal phase modulation used by the spectral readout.
 
 Networks are immutable.  Edits (blocking a site, changing a transmission)
-produce a new, revalidated instance.
+produce a new, revalidated instance.  A network keeps the indexes its
+validation built: nodes by id, the arm leaving each output port, arms by
+site label, and one topological order.  Every pass over the network reads
+them, so it is sorted and indexed once, when it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,16 +118,20 @@ class Arm:
 
 @dataclass(frozen=True)
 class Network:
+    """A validated network, made only by ``build_network``; the underscored
+    fields are the indexes its validation built, outside equality."""
+
     nodes: tuple[Node, ...]
     arms: tuple[Arm, ...]
     source: str
     detectors: tuple[str, ...]
+    _by_id: dict[str, Node] = field(compare=False, repr=False)
+    _outgoing: dict[tuple[str, int], Arm] = field(compare=False, repr=False)
+    _by_label: dict[str, Arm] = field(compare=False, repr=False)
+    _order: tuple[Node, ...] = field(compare=False, repr=False)
 
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     def arm(self, arm_id: str) -> Arm:
         for a in self.arms:
@@ -135,41 +144,21 @@ class Network:
 
         Raises UnknownLabelError when no arm has the label.
         """
-        for a in self.arms:
-            if a.label == label:
-                return a
-        raise UnknownLabelError(f"no arm carries site label {label!r}")
+        arm = self._by_label.get(label)
+        if arm is None:
+            raise UnknownLabelError(f"no arm carries site label {label!r}")
+        return arm
 
     def site_labels(self) -> frozenset[str]:
-        return frozenset(a.label for a in self.arms if a.label is not None)
+        return frozenset(self._by_label)
 
-    def outgoing(self) -> dict[tuple[str, int], Arm]:
-        return {(a.from_node, a.from_port): a for a in self.arms}
+    def outgoing(self) -> Mapping[tuple[str, int], Arm]:
+        """The arm leaving each (node id, output port), read-only."""
+        return MappingProxyType(self._outgoing)
 
     def topological_order(self) -> tuple[Node, ...]:
-        """Nodes sorted so every arm points forward.  Assumes acyclicity."""
-        return tuple(_kahn_order(self.nodes, self.arms))
-
-
-def _kahn_order(nodes, arms) -> list[Node]:
-    """Kahn's algorithm: nodes ordered so every arm points forward.
-
-    Nodes on or behind a cycle never become ready and are left out, so a
-    result shorter than ``nodes`` means the graph is cyclic.
-    """
-    by_id = {n.id: n for n in nodes}
-    indeg = dict.fromkeys(by_id, 0)
-    out_by_node: dict[str, list[Arm]] = {}
-    for a in arms:
-        indeg[a.to_node] += 1
-        out_by_node.setdefault(a.from_node, []).append(a)
-    order = [n for n in nodes if indeg[n.id] == 0]
-    for node in order:  # the list grows as nodes become ready
-        for a in out_by_node.get(node.id, ()):
-            indeg[a.to_node] -= 1
-            if indeg[a.to_node] == 0:
-                order.append(by_id[a.to_node])
-    return order
+        """Nodes sorted so every arm points forward."""
+        return self._order
 
 
 def _check_unitary(node: Node) -> None:
@@ -198,13 +187,13 @@ def build_network(nodes, arms) -> Network:
     nodes = tuple(nodes)
     arms = tuple(arms)
 
-    seen_ids = set()
+    by_id: dict[str, Node] = {}
     for n in nodes:
         if n.kind not in NODE_KINDS:
             raise NetworkError(f"node {n.id!r} has unknown kind {n.kind!r}")
-        if n.id in seen_ids:
+        if n.id in by_id:
             raise DuplicateLabelError(f"duplicate node id {n.id!r}")
-        seen_ids.add(n.id)
+        by_id[n.id] = n
         if n.kind == BEAM_SPLITTER:
             if n.scatter is None:
                 raise NetworkError(f"beam splitter {n.id!r} has no scatter matrix")
@@ -212,12 +201,12 @@ def build_network(nodes, arms) -> Network:
         elif n.scatter is not None:
             raise NetworkError(f"node {n.id!r} of kind {n.kind!r} cannot scatter")
 
-    by_id = {n.id: n for n in nodes}
-
     seen_arm_ids = set()
-    seen_labels = set()
-    taken_out: dict[tuple[str, int], str] = {}
+    by_label: dict[str, Arm] = {}
+    outgoing: dict[tuple[str, int], Arm] = {}
     taken_in: dict[tuple[str, int], str] = {}
+    indeg = dict.fromkeys(by_id, 0)
+    out_arms: dict[str, list[Arm]] = {}  # per node, in arm order
     for a in arms:
         if a.id in seen_arm_ids:
             raise DuplicateLabelError(f"duplicate arm id {a.id!r}")
@@ -237,37 +226,38 @@ def build_network(nodes, arms) -> Network:
                     f"which has {nports[node.kind]} such ports"
                 )
         key = (a.from_node, a.from_port)
-        if key in taken_out:
+        if key in outgoing:
             raise PortConflictError(
-                f"output port {key} feeds both arms {taken_out[key]!r} and {a.id!r}"
+                f"output port {key} feeds both arms {outgoing[key].id!r} and {a.id!r}"
             )
-        taken_out[key] = a.id
+        outgoing[key] = a
         key = (a.to_node, a.to_port)
         if key in taken_in:
             raise PortConflictError(
                 f"input port {key} is fed by both arms {taken_in[key]!r} and {a.id!r}"
             )
         taken_in[key] = a.id
+        indeg[a.to_node] += 1
+        out_arms.setdefault(a.from_node, []).append(a)
         if a.label is not None:
-            if a.label in seen_labels:
+            if a.label in by_label:
                 raise DuplicateLabelError(f"site label {a.label!r} on multiple arms")
-            seen_labels.add(a.label)
-        if not (np.isfinite(a.transmission) and 0.0 <= a.transmission <= 1.0):
+            by_label[a.label] = a
+        # chained comparisons are False for NaN, so they also reject non-finite values
+        if not 0.0 <= a.transmission <= 1.0:
             raise NetworkError(
                 f"arm {a.id!r} transmission {a.transmission!r} outside [0, 1]"
             )
-        if not np.isfinite(a.static_phase):
+        if not math.isfinite(a.static_phase):
             raise NetworkError(f"arm {a.id!r} has non-finite static phase")
-        if a.modulation is not None:
-            m = a.modulation
-            if not (np.isfinite(m.delta) and m.delta >= 0.0):
-                raise NetworkError(f"arm {a.id!r} modulation depth {m.delta!r} invalid")
+        if a.modulation is not None and not 0.0 <= a.modulation.delta < math.inf:
+            raise NetworkError(f"arm {a.id!r} modulation depth {a.modulation.delta!r} invalid")
 
     # Every output port of an amplitude-carrying element must lead somewhere;
     # unfed beam-splitter inputs are legitimate vacuum ports.
     for n in nodes:
         for port in range(OUT_PORTS[n.kind]):
-            if (n.id, port) not in taken_out:
+            if (n.id, port) not in outgoing:
                 raise DanglingPortError(
                     f"output port {port} of node {n.id!r} is not connected"
                 )
@@ -279,13 +269,19 @@ def build_network(nodes, arms) -> Network:
     if not detectors:
         raise NetworkError("network has no detector")
 
-    order = _kahn_order(nodes, arms)
+    # Kahn's algorithm: a node is ready once every arm into it has been
+    # passed.  Nodes on or behind a cycle never get ready.
+    order = [n for n in nodes if not indeg[n.id]]
+    for n in order:  # the list grows as nodes become ready
+        for a in out_arms.get(n.id, ()):
+            indeg[a.to_node] -= 1
+            if not indeg[a.to_node]:
+                order.append(by_id[a.to_node])
     if len(order) != len(nodes):
-        placed = {n.id for n in order}
-        stuck = sorted(n.id for n in nodes if n.id not in placed)
+        stuck = sorted(node_id for node_id, left in indeg.items() if left)
         raise CyclicGraphError(f"cycle through nodes {stuck}")
 
-    return Network(nodes=nodes, arms=arms, source=sources[0].id, detectors=detectors)
+    return Network(nodes, arms, sources[0].id, detectors, by_id, outgoing, by_label, tuple(order))
 
 
 def standard_nested_mzi(bs1=None, bs2=None, bs3=None, bs4=None) -> Network:

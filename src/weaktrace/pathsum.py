@@ -153,10 +153,8 @@ def signature_amplitudes(net: Network, sites, detector: str | None = None) -> di
     """
     target = resolve_detector(net, detector)
     sites = tuple(sites)
-    known = net.site_labels()
     for site in sites:
-        if site not in known:
-            raise UnknownLabelError(f"no arm carries site label {site!r}")
+        net.labeled_arm(site)  # raises UnknownLabelError for an unknown site
     in_amp, _ = _forward(net, frozenset(sites))
     return in_amp.get((target, 0), {})
 
@@ -195,7 +193,6 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
     """
     target = resolve_detector(net, detector)
     outgoing = net.outgoing()
-    by_id = {n.id: n for n in net.nodes}
     paths: list[Path] = []
 
     # depth-first walk; each entry is a partial route arriving at a node:
@@ -210,7 +207,7 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
                 f"with {len(paths)} routes found; the network has too many routes to list"
             )
         node_id, in_port, amp, arms_so_far, sites_so_far, blocked = stack.pop()
-        node = by_id[node_id]
+        node = net.node(node_id)
         if node.kind == DETECTOR:
             if node_id == target:
                 paths.append(

@@ -340,6 +340,16 @@ def _noise(value) -> NoiseModel:
     return NoiseModel(std=std, seed=seed)
 
 
+def _block_sites(value) -> tuple[str, ...]:
+    sites = _string_list(value)
+    seen = set()
+    for i, site in enumerate(sites):
+        if site in seen:  # its CSV files would overwrite the first one's
+            raise _Invalid(f"site {site!r} blocked twice", i)
+        seen.add(site)
+    return sites
+
+
 def _experiment(value, network: NetworkSection) -> Experiment:
     obj = _object(value)
     _check_keys(obj, None, ("kind",))
@@ -384,7 +394,7 @@ def _experiment(value, network: NetworkSection) -> Experiment:
     default_sites = (
         STANDARD_BLOCK_SITES if network.kind == "standard" else tuple(sm.site for sm in plan.sites)
     )
-    block_sites = _at(obj, "block_sites", _string_list, default_sites)
+    block_sites = _at(obj, "block_sites", _block_sites, default_sites)
     if not block_sites:
         raise _Invalid("must name at least one site", "block_sites")
     return BlockingExperiment(sigma=sigma, plan=plan, block_sites=block_sites, detector=detector)

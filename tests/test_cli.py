@@ -587,3 +587,28 @@ def test_block_makes_one_forward_pass_per_configuration(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["result"]["configs"]) == 3
     assert len(calls) == 3
+
+
+# a repeated site ran its configuration twice, and the second pair of CSV
+# files overwrote the first while the note still counted both
+def test_duplicate_block_site_is_schema_error(tmp_path, capsys):
+    doc = {"network": "standard", "experiment": {"kind": "blocking", "samples": 64}}
+    doc["experiment"]["block_sites"] = ["E", "E"]
+    scn = write(tmp_path, "dup.json", json.dumps(doc))
+    csv_dir = tmp_path / "csv"
+    code, out, err = run(capsys, ["block", scn, "--csv-dir", str(csv_dir)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "schema_error",
+        "message": "$.experiment.block_sites[1]: site 'E' blocked twice",
+    }
+    assert not csv_dir.exists()
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    scn = write(tmp_path, "std.json", STD)
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, ["validate", scn])
+    assert run(capsys, ["validate", scn, "--quiet"]) == first
+    assert run(capsys, ["validate", scn]) == first

@@ -1,7 +1,23 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from weaktrace import apply_block, build_network, set_modulation, set_transmission
+from weaktrace import (
+    Modulation,
+    apply_block,
+    arm_input_amplitudes,
+    build_network,
+    enumerate_paths,
+    propagate,
+    set_modulation,
+    set_transmission,
+    signature_amplitudes,
+    spectra,
+    terminal_amplitudes,
+    weak_values,
+)
 from weaktrace.errors import (
     CyclicGraphError,
     DanglingPortError,
@@ -22,6 +38,7 @@ from weaktrace.netgraph import (
     hadamard,
     standard_nested_mzi,
 )
+from weaktrace.randomnet import random_layered_network
 
 
 def test_standard_network_shape(std_net):
@@ -218,10 +235,15 @@ def test_scatter_on_mirror_rejected():
 
 
 def test_transmission_out_of_range_rejected(std_net):
-    with pytest.raises(NetworkError):
-        set_transmission(std_net, "A", 1.5)
-    with pytest.raises(NetworkError):
-        set_transmission(std_net, "A", -0.1)
+    for value in (1.5, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(NetworkError, match="outside"):
+            set_transmission(std_net, "A", value)
+    arm = std_net.labeled_arm("A")
+    for phase in (math.nan, math.inf):
+        bad = dataclasses.replace(arm, static_phase=phase)
+        arms = tuple(bad if a.id == arm.id else a for a in std_net.arms)
+        with pytest.raises(NetworkError, match="non-finite static phase"):
+            build_network(std_net.nodes, arms)
 
 
 def test_apply_block_is_functional(std_net):
@@ -249,18 +271,66 @@ def test_set_modulation(std_net):
 
 def test_negative_modulation_depth_rejected(std_net):
     arm = std_net.labeled_arm("A")
-    import dataclasses
-
-    from weaktrace import Modulation
-
-    bad = dataclasses.replace(arm, modulation=Modulation(delta=-0.1, bin=5))
-    arms = tuple(bad if a.id == arm.id else a for a in std_net.arms)
-    with pytest.raises(NetworkError):
-        build_network(std_net.nodes, arms)
+    for delta in (-0.1, math.nan, math.inf):
+        bad = dataclasses.replace(arm, modulation=Modulation(delta=delta, bin=5))
+        arms = tuple(bad if a.id == arm.id else a for a in std_net.arms)
+        with pytest.raises(NetworkError, match="modulation depth"):
+            build_network(std_net.nodes, arms)
 
 
 def test_topological_order_respects_arms(std_net):
-    pos = {n.id: i for i, n in enumerate(std_net.topological_order())}
-    assert len(pos) == len(std_net.nodes)
-    for arm in std_net.arms:
-        assert pos[arm.from_node] < pos[arm.to_node]
+    rng = np.random.default_rng(7)
+    for net in [std_net] + [random_layered_network(rng) for _ in range(20)]:
+        pos = {n.id: i for i, n in enumerate(net.topological_order())}
+        assert len(pos) == len(net.nodes)
+        for arm in net.arms:
+            assert pos[arm.from_node] < pos[arm.to_node]
+        assert net.outgoing() == {(a.from_node, a.from_port): a for a in net.arms}
+        for n in net.nodes:
+            assert net.node(n.id) is n
+
+
+def test_outgoing_is_read_only(std_net):
+    with pytest.raises(TypeError):
+        std_net.outgoing()[("SRC", 0)] = std_net.arms[1]
+
+
+class _Unlisted(tuple):
+    """An element list that refuses to be walked."""
+
+    def __iter__(self):
+        raise AssertionError("a pass walked the arm list to sort or map the network again")
+
+
+def _with_arms_unlisted(net):
+    # a fresh network made by build_network, altered here only so that any
+    # sort or port map rebuilt from its arm list fails
+    object.__setattr__(net, "arms", _Unlisted(net.arms))
+    return net
+
+
+def test_passes_read_the_index_built_with_the_network(monkeypatch):
+    """A network is sorted and indexed once, in build_network.  Every pass
+    over it reads that index: with the arm list unwalkable, the passes
+    still give the results they give on the plain network."""
+    plain = standard_nested_mzi()
+    net = _with_arms_unlisted(standard_nested_mzi())
+    with pytest.raises(AssertionError):
+        list(net.arms)
+    assert propagate(net) == propagate(plain)
+    assert terminal_amplitudes(net) == terminal_amplitudes(plain)
+    assert arm_input_amplitudes(net) == arm_input_amplitudes(plain)
+    assert signature_amplitudes(net, "AB") == signature_amplitudes(plain, "AB")
+    assert weak_values(net) == weak_values(plain)
+    assert enumerate_paths(net) == enumerate_paths(plain)
+
+    # a blocking configuration builds (and so sorts) its blocked network
+    # once; its readout pass, like the baseline's, reads the index
+    monkeypatch.setattr(
+        spectra, "apply_block", lambda _, site: _with_arms_unlisted(apply_block(plain, site))
+    )
+    suite = spectra.run_blocking_suite(net, spectra.default_plan(samples=64))
+    expected = spectra.run_blocking_suite(plain, spectra.default_plan(samples=64))
+    assert [c.static_probability for c in suite.configs] == [
+        c.static_probability for c in expected.configs
+    ]
