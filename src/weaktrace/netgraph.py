@@ -152,6 +152,10 @@ class Network:
     def site_labels(self) -> frozenset[str]:
         return frozenset(self._by_label)
 
+    def node_map(self) -> Mapping[str, Node]:
+        """Each node by id, read-only."""
+        return MappingProxyType(self._by_id)
+
     def outgoing(self) -> Mapping[tuple[str, int], Arm]:
         """The arm leaving each (node id, output port), read-only."""
         return MappingProxyType(self._outgoing)

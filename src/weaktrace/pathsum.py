@@ -192,6 +192,7 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
         Paths in depth-first order (output port 0 explored first).
     """
     target = resolve_detector(net, detector)
+    nodes = net.node_map()
     outgoing = net.outgoing()
     paths: list[Path] = []
 
@@ -207,7 +208,7 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
                 f"with {len(paths)} routes found; the network has too many routes to list"
             )
         node_id, in_port, amp, arms_so_far, sites_so_far, blocked = stack.pop()
-        node = net.node(node_id)
+        node = nodes[node_id]
         if node.kind == DETECTOR:
             if node_id == target:
                 paths.append(

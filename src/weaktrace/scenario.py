@@ -340,14 +340,25 @@ def _noise(value) -> NoiseModel:
     return NoiseModel(std=std, seed=seed)
 
 
-def _block_sites(value) -> tuple[str, ...]:
-    sites = _string_list(value)
-    seen = set()
-    for i, site in enumerate(sites):
-        if site in seen:  # its CSV files would overwrite the first one's
-            raise _Invalid(f"site {site!r} blocked twice", i)
-        seen.add(site)
-    return sites
+def _distinct_sites(verb: str):
+    """A reader of a string array that names no site twice: a repeated
+    weak-value site would be dropped from the report, and a repeated
+    blocked site's CSV files would overwrite the first one's."""
+
+    def read(value) -> tuple[str, ...]:
+        sites = _string_list(value)
+        seen = set()
+        for i, site in enumerate(sites):
+            if site in seen:
+                raise _Invalid(f"site {site!r} {verb} twice", i)
+            seen.add(site)
+        return sites
+
+    return read
+
+
+_weak_sites = _distinct_sites("named")
+_block_sites = _distinct_sites("blocked")
 
 
 def _experiment(value, network: NetworkSection) -> Experiment:
@@ -362,7 +373,7 @@ def _experiment(value, network: NetworkSection) -> Experiment:
     if kind == "paths":
         return PathsExperiment(detector=detector)
     if kind == "weak_values":
-        return WeakValuesExperiment(detector=detector, sites=_at(obj, "sites", _string_list, None))
+        return WeakValuesExperiment(detector=detector, sites=_at(obj, "sites", _weak_sites, None))
 
     sigma = _at(obj, "sigma", _width, 1.0)
     if kind == "pointer":

@@ -10,7 +10,9 @@ A route's displacement depends only on which probed sites it passes, so
 the readout works on signature classes, the routes grouped by that site
 set with their amplitudes summed, taken from one forward pass over the
 network.  The reading is ``weakval.post_selected_mean`` of the classes, as
-a ``pointer`` shift is of two; its cost, samples x classes^2, is bounded.
+a ``pointer`` shift is of two.  Its cost is O(N K min(K, M)) in samples N,
+classes K and terms M of its moment series, and samples x classes^2 is
+bounded.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -40,7 +42,9 @@ DEFAULT_SITE_BINS = (("A", 13), ("B", 17), ("C", 19), ("E", 23), ("F", 29))
 DEFAULT_SAMPLES = 4096
 # the readout holds a few samples x classes arrays; 2**20 samples is 8 MB per class
 MAX_SAMPLES = 2**20
-# bound on samples x classes^2, over 100 times the largest benchmark or test input
+# bound on samples x classes^2, the readout's cost when it sums class pairs
+# directly; the moment series costs less, but the bound does not depend on
+# which kernel runs.  Over 100 times the largest benchmark or test input.
 MAX_READOUT_PAIRS = 2**30
 # the standard network's dark arms, blocked one at a time by default
 STANDARD_BLOCK_SITES = ("E", "F")
@@ -133,8 +137,11 @@ def readout_timeseries(
     so the routes are summed into one amplitude per signature class by a
     single forward pass (``pathsum.signature_amplitudes``), and no route
     is ever enumerated.  ``weakval.post_selected_mean`` of the K classes
-    gives the reading, exact in the depths, at a cost of O(N K^2); past
-    ``MAX_READOUT_PAIRS`` TooManyRoutesError is raised before it starts.
+    gives the reading, exact in the depths up to a series remainder below
+    1e-18, at a cost of O(N K M) from M + 1 amplitude moments per sample
+    while the displacements stay within twice the width and K > M + 2,
+    else O(N K^2) from the class pairs; past ``MAX_READOUT_PAIRS``
+    samples x classes^2, TooManyRoutesError is raised before it starts.
 
     Returns
     -------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from weaktrace import enumerate_paths, relative_amplitudes, standard_nested_mzi
+from weaktrace import enumerate_paths, relative_amplitudes, standard_nested_mzi, weakval
 from weaktrace.netgraph import (
     BEAM_SPLITTER,
     DETECTOR,
@@ -27,6 +27,20 @@ def std_net():
 @pytest.fixture
 def std_ens(std_net):
     return enumerate_paths(std_net)
+
+
+def kernel_calls(monkeypatch, name):
+    """Record each call to one of ``weakval``'s two post-selected mean
+    kernels as (classes K,) for ``_pair_sums``, (K, order) for ``_moment_sums``."""
+    calls = []
+    kernel = getattr(weakval, name)
+
+    def counted(amps, disp, *order):
+        calls.append((amps.size, *order))
+        return kernel(amps, disp, *order)
+
+    monkeypatch.setattr(weakval, name, counted)
+    return calls
 
 
 def make_dark_port_mzi():

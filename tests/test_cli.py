@@ -606,6 +606,23 @@ def test_duplicate_block_site_is_schema_error(tmp_path, capsys):
     assert not csv_dir.exists()
 
 
+def test_duplicate_weak_site_is_schema_error(tmp_path, capsys):
+    doc = {"network": "standard", "experiment": {"kind": "weak_values", "sites": ["A", "B", "A"]}}
+    scn = write(tmp_path, "dup.json", json.dumps(doc))
+    code, out, err = run(capsys, ["weak", scn])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "schema_error",
+        "message": "$.experiment.sites[2]: site 'A' named twice",
+    }
+    doc["experiment"]["sites"] = ["A", "B"]
+    scn = write(tmp_path, "once.json", json.dumps(doc))
+    code, out, _ = run(capsys, ["weak", scn])
+    assert code == 0
+    assert list(json.loads(out)["result"]["weak_values"]) == ["A", "B"]
+
+
 def test_parser_is_built_once(tmp_path, capsys):
     scn = write(tmp_path, "std.json", STD)
     assert cli.build_parser() is cli.build_parser()

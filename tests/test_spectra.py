@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dark_port_mzi
+from conftest import kernel_calls, make_dark_port_mzi
 from weaktrace import (
     ModulationPlan,
     NoiseModel,
@@ -16,6 +16,7 @@ from weaktrace import (
     pathsum,
     plan_from_network,
     random_layered_network,
+    random_unitary_2x2,
     readout_timeseries,
     run_blocking_suite,
     run_spectral_experiment,
@@ -24,9 +25,11 @@ from weaktrace import (
     spectra,
     spectrum,
     standard_nested_mzi,
+    weak_values,
+    weakval,
 )
 from weaktrace.errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelError
-from weaktrace.netgraph import DETECTOR, Node, build_network
+from weaktrace.netgraph import BEAM_SPLITTER, DETECTOR, SINK, SOURCE, Arm, Node, build_network
 from weaktrace.scenario import (
     BlockingExperiment,
     SpectralExperiment,
@@ -574,3 +577,107 @@ def test_readout_with_no_route_to_the_detector():
     with pytest.raises(DegeneratePointerError, match="no paths reach detector 'D2'"):
         readout_timeseries(net, plan, sigma=1.0, detector="D2")
 
+
+# ------------------------------------------------------- moment-series readout
+
+
+def _cascade(widths, seed=0):
+    """A chain of stages, each fanning one arm out into ``width`` (2 or 3)
+    routes, all but one through their own labeled arm, and back into one.
+
+    The stage signatures multiply: the routes fall into prod(widths)
+    signature classes when every label is probed.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [Node("SRC", SOURCE), Node("D", DETECTOR)]
+    arms = []
+
+    def splitter(name):
+        nodes.append(Node(name, BEAM_SPLITTER, scatter=random_unitary_2x2(rng)))
+
+    def arm(src, dst, label=None):
+        arms.append(Arm(f"a{len(arms)}", src[0], src[1], dst[0], dst[1], label=label))
+
+    def sink(src):
+        nodes.append(Node(f"K{len(nodes)}", SINK))
+        arm(src, (nodes[-1].id, 0))
+
+    prev = ("SRC", 0)
+    for s, width in enumerate(widths):
+        a, c = f"S{s}a", f"S{s}c"
+        splitter(a)
+        splitter(c)
+        arm(prev, (a, 0))
+        if width == 2:
+            arm((a, 0), (c, 0), label=f"s{s}")
+            arm((a, 1), (c, 1))
+        else:
+            b, d = f"S{s}b", f"S{s}d"
+            splitter(b)
+            splitter(d)
+            arm((a, 0), (c, 0), label=f"s{s}u")
+            arm((a, 1), (b, 0))
+            arm((b, 0), (d, 0), label=f"s{s}v")
+            arm((b, 1), (d, 1))
+            arm((d, 0), (c, 1))
+            sink((d, 1))
+        sink((c, 1))
+        prev = (c, 0)
+    arm(prev, ("D", 0))
+    return build_network(nodes, arms)
+
+
+def test_series_readout_matches_pair_sum_on_random_networks(monkeypatch):
+    # probe depths as small as the benchmark's keep t = max|d|^2 / 4 below
+    # 1e-3, so the series needs M <= 6 terms and K >= 7 classes take it
+    calls = kernel_calls(monkeypatch, "_moment_sums")
+    rng_plan = np.random.default_rng(2025)
+    checked = 0
+    for bs in (8, 10, 12):
+        for seed in range(60):
+            net = random_layered_network(np.random.default_rng(seed), max_beam_splitters=bs)
+            sites = sorted(net.site_labels())
+            for det in net.detectors:
+                if len(signature_amplitudes(net, sites, det)) < 7:
+                    continue
+                bins = rng_plan.choice(np.arange(1, 32), size=len(sites), replace=False)
+                plan = ModulationPlan(
+                    sites=tuple(
+                        SiteModulation(s, float(rng_plan.uniform(0.001, 0.005)), int(b))
+                        for s, b in zip(sites, bins)
+                    ),
+                    samples=64,
+                )
+                if np.min(_pair_sum_reference(net, plan, 1.0, det)[1]) < 1e-14:
+                    continue
+                del calls[:]
+                _assert_matches_reference(net, plan, 1.0, det)
+                checked += len(calls)
+    assert checked >= 80
+
+
+def test_wide_readout_takes_the_series(monkeypatch):
+    # the benchmark's widest input has 96 classes at 1024 samples; its
+    # readout never forms the K^2 pair overlaps
+    def refuse(*args):
+        raise AssertionError("the readout summed the class pairs")
+
+    calls = kernel_calls(monkeypatch, "_moment_sums")
+    monkeypatch.setattr(weakval, "_pair_sums", refuse)
+    net = _cascade([2, 2, 2, 2, 2, 3])
+    sites = sorted(net.site_labels())
+    plan = ModulationPlan(
+        sites=tuple(SiteModulation(s, 0.002, 3 + 7 * i) for i, s in enumerate(sites)),
+        samples=1024,
+    )
+    assert len(signature_amplitudes(net, sites)) == 96
+    xbar, rate = readout_timeseries(net, plan, sigma=1.0)
+    assert calls == [(96, 4)]
+    assert np.all(np.isfinite(xbar)) and np.min(rate) > 0.0
+    # the first-order reading: sum over probes of delta * Re(w) * sin(...)
+    w = weak_values(net, sites)
+    k = np.arange(1024)
+    first = sum(
+        sm.delta * w[sm.site].real * np.sin(2 * np.pi * sm.bin * k / 1024) for sm in plan.sites
+    )
+    assert np.max(np.abs(xbar - first)) < 1e-3 * np.max(np.abs(first))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_by_sites, route_amplitude_split, route_weak_value
+from conftest import kernel_calls, path_by_sites, route_amplitude_split, route_weak_value
 from weaktrace import (
     PointerModel,
     amplitude_split,
@@ -275,3 +276,81 @@ def test_one_site_passes_match_the_route_sum_on_random_networks():
                 assert abs(shift - oracle) < 1e-12, (seed, det, site)
                 cases += 1
     assert cases > 500
+
+
+# ------------------------------------------------------- post-selected mean kernels
+
+
+def _kernel_case(seed, classes, t):
+    """Random class amplitudes and 8 readings whose widest displacement is
+    exactly 2 sqrt(t), so max|d|^2 / 4 = t."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=classes) + 1j * rng.normal(size=classes)
+    disp = rng.uniform(-1.0, 1.0, size=(8, classes))
+    disp /= np.max(np.abs(disp))
+    disp *= 2.0 * np.sqrt(t)
+    return amps, disp
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(1e-6, weakval.SERIES_MAX_T),
+    side=st.sampled_from(["below", "above", "pairs", "series"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernels_agree_at_the_switch_points(seed, t, side):
+    # t just below and just above SERIES_MAX_T at K = 30, where the series
+    # runs below the bound, and K = M + 2 (pairs) or M + 3 (series) below it
+    if side in ("below", "above"):
+        t = weakval.SERIES_MAX_T * (1.0 - 1e-12 if side == "below" else 1.0 + 1e-12)
+        classes, series = 30, side == "below"
+    else:
+        classes, series = weakval._series_order(t) + (3 if side == "series" else 2), side == "series"
+    amps, disp = _kernel_case(seed, classes, t)
+    mean, rate = weakval.post_selected_mean(amps, disp)
+
+    order = weakval._series_order(t)
+    pair_num, pair_rate = weakval._pair_sums(amps, disp)
+    series_num, series_rate = weakval._moment_sums(amps, disp, order)
+    num, expected = (series_num, series_rate) if series else (pair_num, pair_rate)
+    assert np.array_equal(rate, expected)
+    assert np.array_equal(mean, num / expected)
+    # both kernels agree to roundoff on the scale (sum_i |A_i|)^2 of the rate
+    scale = np.sum(np.abs(amps)) ** 2
+    reach = 2.0 * np.sqrt(t)
+    assert np.max(np.abs(series_rate - pair_rate)) <= 1e-13 * scale
+    assert np.max(np.abs(series_num - pair_num)) <= 1e-13 * scale * reach
+
+
+def test_series_order_bounds_the_remainder():
+    # the first M with t^M / M! * e^t <= 1e-18
+    assert weakval._series_order(0.0) == 1
+    assert weakval._series_order(3e-5) == 4
+    assert weakval._series_order(1.0) == 21
+    for t in (1e-4, 0.01, 0.3, 1.0):
+        m = weakval._series_order(t)
+        bound = [t**k / math.factorial(k) * math.exp(t) for k in (m - 1, m)]
+        assert bound[1] <= weakval.SERIES_TOL < bound[0]
+
+
+def test_series_branch_raises_degenerate_pointer(monkeypatch):
+    # eight classes whose amplitudes cancel: the undisplaced reading has
+    # rate 0, the others a rate of order d^2
+    series = kernel_calls(monkeypatch, "_moment_sums")
+    amps = np.array([1.0, -1.0, 1j, -1j, 0.5, -0.5, 2.0, -2.0])
+    disp = np.zeros((4, 8))
+    disp[1:] = np.linspace(-0.01, 0.01, 8)
+    with pytest.raises(DegeneratePointerError, match="post-selected rate dips to"):
+        weakval.post_selected_mean(amps, disp)
+    assert series == [(8, 4)]
+
+
+def test_small_kernels_stay_on_the_pair_sums(monkeypatch, std_net):
+    # a pointer shift (K = 2) and three classes, as on the standard network,
+    # sum their pairs even where the series would need a single term
+    series = kernel_calls(monkeypatch, "_moment_sums")
+    pairs = kernel_calls(monkeypatch, "_pair_sums")
+    amps = amplitude_split(std_net, "B")
+    pointer_shift_exact(amps, PointerModel(site="B", sigma=1.0, coupling=1e-3))
+    weakval.post_selected_mean(np.ones(3), np.zeros((4, 3)))
+    assert series == [] and pairs == [(2,), (3,)]
