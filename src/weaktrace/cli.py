@@ -106,11 +106,11 @@ def _resolve_experiment(scenario: Scenario, command: str, args):
     return exp
 
 
-def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
+def _run(args) -> tuple[dict, list[tuple[str, SpectralReport, reports.Floats]]]:
     """Execute one subcommand.
 
     Returns the report document and the spectral reports behind it, each
-    with the prefix of its CSV file names.
+    with the prefix of its CSV file names and the power its report holds.
     """
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
@@ -134,7 +134,7 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
     scenario = dataclasses.replace(scenario, experiment=exp)
     net = build_scenario_network(scenario.network)
     doc = scenario_doc(scenario)
-    spectral: list[tuple[str, SpectralReport]] = []
+    spectral: list[tuple[str, SpectralReport, reports.Floats]] = []
 
     if command == "paths":
         ens = enumerate_paths(net, exp.detector)
@@ -162,14 +162,17 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport]]]:
             net, exp.plan, exp.sigma, noise=exp.noise, detector=exp.detector
         )
         result = reports.spectral_result(report)
-        spectral = [("", report)]
+        spectral = [("", report, result["power"])]
 
     else:  # block
         suite = run_blocking_suite(
             net, exp.plan, exp.sigma, block_sites=exp.block_sites, detector=exp.detector
         )
         result = reports.blocking_result(suite)
-        spectral = [(f"{config.name}_", config.report) for config in suite.configs]
+        spectral = [
+            (f"{config.name}_", config.report, section["power"])
+            for config, section in zip(suite.configs, result["configs"])
+        ]
 
     return reports.envelope(command, doc, net, result), spectral
 
@@ -195,12 +198,13 @@ def main(argv=None) -> int:
         # only spectrum and block return spectral reports and take --csv-dir
         if spectral and args.csv_dir:
             csv_dir = Path(args.csv_dir)
-            for prefix, report in spectral:
+            for prefix, report, power in spectral:
                 _write_text(
                     csv_dir / f"{prefix}timeseries.csv",
                     reports.timeseries_csv(report.xbar, report.rate),
                 )
-                _write_text(csv_dir / f"{prefix}spectrum.csv", reports.spectrum_csv(report.power))
+                # the report's power, whose text the JSON report has already made
+                _write_text(csv_dir / f"{prefix}spectrum.csv", reports.spectrum_csv(power))
             _note(args, f"{2 * len(spectral)} CSV file(s) written to {csv_dir}")
         if args.out:
             out_path = Path(args.out)

@@ -6,17 +6,41 @@ JSON reports and the CSV files alike, is written with the one format
 order is insertion order, and numeric leaf arrays are kept on one line.
 Identical inputs therefore produce byte-identical documents.
 
-NaN and inf are refused with ``NonFiniteResultError``, which names the
-first such value.  A float array or a whole CSV table is checked with one
-array-wide ``np.isfinite`` test and written with one ``%`` call on a
-template that repeats ``FLOAT_FORMAT``; a lone float is checked and
-written on its own, with the same format and the same message.
+Repeated records are rendered one column at a time.  A run is a list or
+a dict of at least ``_MIN_RUN`` values of one type, dict, list or
+complex: the echoed nodes and arms, the route tables, ``weak_values`` and
+``arm_input_amplitudes``.  Smaller or mixed containers are cheaper value
+by value.  The dicts of a run are grouped by key tuple, and each key's
+values form a column that is checked and formatted in one pass: strings
+are encoded by one mapped call, a float column gets one finiteness check
+and a ``FLOAT_FORMAT`` slot, exact ints a ``%d`` slot, complex numbers a
+``re`` and an ``im`` column, nested records and fixed-length lists (an
+arm's ``[node, port]``, a 2x2 scatter matrix) are split into their own
+columns, and variable-length string lists (a route's ``arms``) are
+joined item by item.  One ``%`` template per record shape and indent
+describes a record; the templates of a run, in item order, are filled by
+one ``%`` call.  Anything else -- a one-item column, numpy scalars,
+subclasses of built-in types, ``None``, columns of mixed kinds -- is
+rendered value by value.  Either way the text is the same, byte for
+byte, so the report format does not change.
+
+NaN and inf are refused with ``NonFiniteResultError``, and a non-string
+key with ``TypeError``; either names the first bad value in document
+order.  When a column's check fails, the run is rendered again value by
+value, which raises at the first bad value that order meets.  A float
+array or a whole CSV table is checked with one array-wide ``np.isfinite``
+test and written with one ``%`` call on a template that repeats
+``FLOAT_FORMAT``.  A spectrum's power is a ``Floats`` in its report, so
+the JSON report and ``spectrum.csv`` share one formatting of it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -34,6 +58,23 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 # types that keep a list on one line (subclasses included)
 _SCALARS = (bool, int, float, str, np.integer, np.floating, type(None))
+
+_JSON_BOOLS = ("false", "true")
+_real, _imag = attrgetter("real"), attrgetter("imag")
+
+
+class Floats(tuple):
+    """Floats formatted once, on first use: a spectrum's power is printed by
+    the JSON report and by ``spectrum.csv`` from the same text."""
+
+    @functools.cached_property
+    def text(self) -> str:
+        """Every value in ``FLOAT_FORMAT``, joined by ", " as in a JSON array."""
+        return _fmt_floats(np.array(self), ", ".join([FLOAT_FORMAT] * len(self)))
+
+
+class _ColumnCheckFailed(Exception):
+    """A column holds a value that its one-pass check refuses."""
 
 
 def _non_finite(x) -> NonFiniteResultError:
@@ -63,13 +104,15 @@ def _render(value, indent: int) -> str:
     if kind is dict:
         if not value:
             return "{}"
+        text = _render_run(value.values(), indent, value)
+        if text is not None:
+            return text
         items = []
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"non-string report key: {key!r}")
             items.append(_encode_str(key) + ": " + _render(item, indent + 1))
-        inner = "\n" + "  " * (indent + 1)
-        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * indent + "}"
+        return _lines("{", items, "}", indent)
     if kind is list:
         if not value:
             return "[]"
@@ -78,18 +121,174 @@ def _render(value, indent: int) -> str:
             return "[" + ", ".join(map(_encode_str, value)) + "]"
         if kinds == {float}:
             return _fmt_floats(np.array(value), "[" + ", ".join([FLOAT_FORMAT] * len(value)) + "]")
-        items = [_render(v, indent + 1) for v in value]
         if all(issubclass(k, _SCALARS) for k in kinds):
-            return "[" + ", ".join(items) + "]"
-        inner = "\n" + "  " * (indent + 1)
-        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * indent + "]"
+            return "[" + ", ".join([_render(v, indent + 1) for v in value]) + "]"
+        text = _render_run(value, indent)
+        if text is not None:
+            return text
+        return _lines("[", [_render(v, indent + 1) for v in value], "]", indent)
     if kind is int:
         return str(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if kind is complex and math.isfinite(value.real) and math.isfinite(value.imag):
+        return _complex_template(indent) % (value.real, value.imag)
+    if kind is Floats:
+        return "[" + value.text + "]"
     return _render(_builtin(value), indent)
+
+
+def _lines(opening: str, items, closing: str, indent: int) -> str:
+    """``items`` one per line at ``indent + 1``, between ``opening`` and
+    ``closing``."""
+    inner = "\n" + "  " * (indent + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * indent + closing
+
+
+# the item types that make a run, and the fewest items that pay for the
+# column path's set-up
+_RUN_KINDS = {dict, list, complex}
+_MIN_RUN = 8
+
+
+def _render_run(values, indent: int, keys=None) -> str | None:
+    """A list's items, or a dict's values with the dict as ``keys``,
+    rendered one column at a time.
+
+    ``None`` when they are not a run (fewer than ``_MIN_RUN`` values, or
+    values of more than one type or of a type outside ``_RUN_KINDS``), and
+    when a check fails: the caller then renders value by value, and the
+    first bad value in document order raises."""
+    kinds = set(map(type, values))
+    if len(values) < _MIN_RUN or len(kinds) != 1 or not kinds <= _RUN_KINDS:
+        return None
+    try:
+        return _fill_run(list(values), indent, keys)
+    except (_ColumnCheckFailed, NonFiniteResultError, TypeError, ValueError):
+        return None
+
+
+def _fill_run(values: list, indent: int, keys) -> str:
+    """Dict items are grouped by key tuple, one template per group; the
+    templates, and the rows that fill them, are laid out in item order and
+    filled with one ``%`` call."""
+    if keys is None:
+        opening, closing, slot, head = "[", "]", "", []
+    else:
+        keys = list(keys)
+        _check_keys(keys)
+        opening, closing, slot, head = "{", "}", "%s: ", [list(map(_encode_str, keys))]
+    shapes = list(map(tuple, values)) if type(values[0]) is dict else [None] * len(values)
+    groups = dict.fromkeys(shapes)
+    templates, rows = {}, {}
+    for shape in groups:
+        if len(groups) == 1:
+            members, columns = values, list(head)
+        else:
+            mask = list(map(shape.__eq__, shapes))
+            members, columns = list(compress(values, mask)), [list(compress(c, mask)) for c in head]
+        template, value_columns = _column(members, indent + 1, shape)
+        columns += value_columns
+        templates[shape] = slot + template
+        rows[shape] = zip(*columns) if columns else repeat(())
+    return _lines(opening, map(templates.__getitem__, shapes), closing, indent) % tuple(
+        chain.from_iterable(map(next, map(rows.__getitem__, shapes)))
+    )
+
+
+def _check_keys(keys) -> None:
+    if set(map(type, keys)) != {str} and not all(isinstance(k, str) for k in keys):
+        raise _ColumnCheckFailed
+
+
+def _check_finite(values: list) -> None:
+    # NaN and inf survive a sum; an overflow only costs the value-by-value path
+    if not math.isfinite(sum(values)):
+        raise _ColumnCheckFailed
+
+
+def _record_template(keys, templates, indent: int) -> str:
+    fields = [_encode_str(k).replace("%", "%%") + ": " + t for k, t in zip(keys, templates)]
+    return _lines("{", fields, "}", indent)
+
+
+@functools.lru_cache(maxsize=32)  # one entry per nesting depth
+def _complex_template(indent: int) -> str:
+    return _record_template(("re", "im"), (FLOAT_FORMAT, FLOAT_FORMAT), indent)
+
+
+def _record_column(values: list, indent: int, keys: tuple) -> tuple[str, list[list]]:
+    """``_column`` of dicts that all have the key tuple ``keys``."""
+    if not keys:
+        return "{}", []
+    _check_keys(keys)
+    templates, columns = _columns((map(itemgetter(key), values) for key in keys), indent + 1)
+    return _record_template(keys, templates, indent), columns
+
+
+def _columns(parts, indent: int) -> tuple[list[str], list[list]]:
+    """The templates of ``parts``, each a column of values, and all the
+    argument columns that fill them."""
+    templates, columns = [], []
+    for part in parts:
+        template, cols = _column(list(part), indent)
+        templates.append(template)
+        columns += cols
+    return templates, columns
+
+
+def _str_lists(values: list) -> list[str]:
+    """Each list of strings in ``values`` on one line."""
+    raw = "".join(chain.from_iterable(values))
+    if len(_encode_str(raw)) == len(raw) + 2:  # no string needs an escape: quote around the joins
+        return ['["' + '", "'.join(v) + '"]' if v else "[]" for v in values]
+    return ["[" + ", ".join(map(_encode_str, v)) + "]" for v in values]
+
+
+def _column(values: list, indent: int, shape: tuple | None = None) -> tuple[str, list[list]]:
+    """The ``%`` template of one item of ``values`` at ``indent``, and the
+    columns of arguments that fill it, one entry per item.  ``shape`` is
+    the key tuple of ``values`` when the caller knows they are dicts of one
+    shape."""
+    if len(values) == 1:
+        return "%s", [[_render(values[0], indent)]]
+    if shape is not None:
+        return _record_column(values, indent, shape)
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return "%s", [list(map(_encode_str, values))]
+    if kind is float:
+        _check_finite(values)
+        return FLOAT_FORMAT, [values]
+    if kind is int:
+        return "%d", [values]
+    if kind is bool:
+        return "%s", [list(map(_JSON_BOOLS.__getitem__, values))]
+    if kind is complex:
+        re, im = list(map(_real, values)), list(map(_imag, values))
+        _check_finite(re)
+        _check_finite(im)
+        return _complex_template(indent), [re, im]
+    if kind is dict:
+        shapes = set(map(tuple, values))
+        if len(shapes) == 1:
+            return _record_column(values, indent, shapes.pop())
+    elif kind is list:
+        items = set(map(type, chain.from_iterable(values)))
+        if items <= {str}:
+            return "%s", [_str_lists(values)]
+        lengths = set(map(len, values))
+        if len(lengths) == 1 and lengths.pop() <= len(values):
+            scalar = [issubclass(k, _SCALARS) for k in items]
+            if all(scalar) or not any(scalar):
+                templates, columns = _columns(zip(*values), indent + 1)
+                if all(scalar):
+                    return "[" + ", ".join(templates) + "]", columns
+                return _lines("[", templates, "]", indent), columns
+    return "%s", [[_render(v, indent) for v in values]]
 
 
 def _builtin(value):
@@ -167,7 +366,7 @@ def weak_result(ens: PathEnsemble, alphas, values: dict[str, complex]) -> dict:
                 "amplitude": p.amplitude,
                 "relative_amplitude": a,
             }
-            for p, a in zip(ens.paths, alphas)
+            for p, a in zip(ens.paths, np.asarray(alphas).tolist())
         ],
         "weak_values": values,
     }
@@ -212,7 +411,7 @@ def spectral_result(report: SpectralReport) -> dict:
             }
             for p in report.peaks
         ],
-        "power": report.power,
+        "power": Floats(report.power.tolist()),
     }
 
 
@@ -245,4 +444,10 @@ def timeseries_csv(xbar, rate) -> str:
 
 
 def spectrum_csv(power) -> str:
-    return _csv("bin,power", power)
+    """``power`` may be the ``Floats`` of a spectral report, whose text the
+    JSON report has already made."""
+    if type(power) is not Floats:
+        power = Floats(np.asarray(power, dtype=float).tolist())
+    n = len(power)
+    strings = power.text.split(", ") if n else []
+    return "bin,power\n" + ("%d,%s\n" * n) % tuple(chain.from_iterable(zip(range(n), strings)))

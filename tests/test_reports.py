@@ -1,5 +1,6 @@
 """The bulk report emitter against the per-value reference in conftest."""
 
+import json
 import re
 from pathlib import Path
 
@@ -152,3 +153,314 @@ def test_unserializable_values_are_refused():
         reports.render_json({1: 2})
     with pytest.raises(TypeError, match="cannot serialize"):
         reports.render_json({"x": object()})
+
+
+# -- the column emitter ------------------------------------------------------
+
+
+class Label(str):
+    """A str subclass: written as its plain string."""
+
+
+KEYS = ["id", "kind", "re", "im", "a%", "%s", "%(x)s", "50%% off", 'q"uote', "back\\slash", "é"]
+TEXTS = ["", "M0", "mirror", 'say "hi"', "tab\there", "line\nbreak", "é€", "\u2028"]
+TEXTS += ["%s", "%d%%", "\x00"]
+
+
+def random_scalar(rng):
+    pick = rng.integers(12)
+    if pick == 0:
+        return float(rng.choice(SPECIAL))
+    if pick == 1:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
+    if pick == 2:
+        return int(rng.integers(-(2**40), 2**40)) * int(rng.choice([1, 2**30]))
+    if pick == 3:
+        return bool(rng.integers(2))
+    if pick == 4:
+        return str(rng.choice(TEXTS))
+    if pick == 5:
+        return Label(rng.choice(TEXTS))
+    if pick == 6:
+        return np.float64(rng.standard_normal())
+    if pick == 7:
+        return np.int64(rng.integers(-1000, 1000))
+    if pick == 8:
+        return complex(float(rng.choice(SPECIAL)), rng.standard_normal())
+    if pick == 9:
+        return None
+    if pick == 10:
+        return [str(rng.choice(TEXTS)) for _ in range(rng.integers(4))]
+    return int(rng.integers(3))  # small ints next to the bools
+
+
+def random_maker(rng, depth):
+    """A function that makes values of one kind, so that records share a shape."""
+    pick = rng.integers(10 if depth < 3 else 6)
+    if pick == 0:
+        return lambda: float(rng.choice(SPECIAL)) * rng.choice([1.0, 0.5])
+    if pick == 1:
+        return lambda: complex(rng.standard_normal(), float(rng.choice(SPECIAL)))
+    if pick == 2:
+        return lambda: str(rng.choice(TEXTS))
+    if pick == 3:  # a route's arms: string lists of varying length
+        return lambda: [f"a{i}" for i in range(rng.integers(6))] + [
+            str(t) for t in rng.choice(TEXTS, rng.integers(2))
+        ]
+    if pick == 4:  # an arm's endpoint
+        return lambda: [f"M{rng.integers(100)}", int(rng.integers(2))]
+    if pick == 5:  # anything, kinds mixed within the column
+        return lambda: random_scalar(rng)
+    if pick == 6:  # a 2x2 scatter matrix
+        return lambda: [
+            [{"re": rng.standard_normal(), "im": rng.standard_normal()} for _ in range(2)]
+            for _ in range(2)
+        ]
+    if pick == 7:
+        make = random_maker(rng, depth + 1)
+        return lambda: {"delta": float(rng.standard_normal()), "inner": make()}
+    if pick == 8:
+        return lambda: random_value(rng, depth + 1)
+    return lambda: bool(rng.integers(2)) if rng.integers(2) else int(rng.integers(2))
+
+
+def random_records(rng, depth):
+    """Records of one schema: optional keys, and some records in another key order."""
+    keys = list(rng.choice(KEYS, size=rng.integers(1, 5), replace=False))
+    makers = {k: random_maker(rng, depth) for k in keys}
+    optional = {k for k in keys if rng.random() < 0.3}
+    records = []
+    for _ in range(rng.choice([0, 1, 2, 7, 8, 9, 20])):
+        present = [k for k in keys if k not in optional or rng.random() < 0.5]
+        if rng.random() < 0.1:
+            present = present[::-1]
+        records.append({k: makers[k]() for k in present})
+    if records and rng.random() < 0.1:
+        records.insert(int(rng.integers(len(records))), random_scalar(rng))
+    return records
+
+
+def random_value(rng, depth=0):
+    pick = rng.integers(7 if depth < 3 else 2)
+    if pick == 0:
+        return random_scalar(rng)
+    if pick == 1:
+        return [random_scalar(rng) for _ in range(rng.integers(4))]
+    if pick == 2:
+        return random_records(rng, depth + 1)
+    if pick == 3:  # a dict run: weak_values, arm_input_amplitudes
+        make = random_maker(rng, depth + 1)
+        return {f"{rng.choice(KEYS)}{i}": make() for i in range(rng.choice([0, 1, 2, 8, 12]))}
+    if pick == 4:  # nested lists of records
+        return [random_records(rng, depth + 1) for _ in range(rng.choice([1, 2, 8]))]
+    if pick == 5:
+        keys = rng.choice(KEYS, size=rng.integers(4), replace=False)
+        return {str(k): random_value(rng, depth + 1) for k in keys}
+    return [random_value(rng, depth + 1) for _ in range(rng.integers(3))]
+
+
+def random_document(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return {str(k): random_value(rng) for k in rng.choice(KEYS, size=4, replace=False)}
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_columns_match_reference_on_random_documents(seed):
+    doc = random_document(seed)
+    assert reports.render_json(doc) == reference_render_json(doc)
+
+
+def test_random_documents_hold_long_runs():
+    """The generator above reaches the column path: runs of same-shaped
+    records with optional keys, dict runs and transposed matrices."""
+    calls = []
+    render = reports._render_run
+
+    def spy(values, indent, keys=None):
+        text = render(values, indent, keys)
+        calls.append((len(values), keys is None, text is not None))
+        return text
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "_render_run", spy)
+        for seed in range(150):
+            reports.render_json(random_document(seed))
+    columned = [(n, is_list) for n, is_list, done in calls if done]
+    assert sum(is_list for _, is_list in columned) > 50
+    assert sum(not is_list for _, is_list in columned) > 20
+
+
+def chain_scenario(mirrors: int) -> dict:
+    """A mirror chain with labels, phases and a splitter at each end."""
+    r = 2**-0.5
+    h = [
+        [{"re": r, "im": 0.0}, {"re": r, "im": 0.0}],
+        [{"re": r, "im": 0.0}, {"re": -r, "im": 0.0}],
+    ]
+    nodes = [{"id": "SRC", "kind": "source"}, {"id": "J0", "kind": "beam_splitter", "scatter": h}]
+    nodes += [{"id": f"M{i}", "kind": "mirror"} for i in range(mirrors)]
+    nodes += [{"id": "J1", "kind": "beam_splitter", "scatter": h}, {"id": "D", "kind": "detector"}]
+    nodes += [{"id": "X", "kind": "sink"}]
+    arms = [{"id": "in", "from": ["SRC", 0], "to": ["J0", 0]}]
+    chain = ["J0"] + [f"M{i}" for i in range(mirrors)] + ["J1"]
+    for i, (u, v) in enumerate(zip(chain, chain[1:])):
+        arm = {"id": f"u{i}", "from": [u, 0], "to": [v, 0]}
+        if i % 97 == 0:
+            arm["label"] = f"U{i}"
+        if i % 5 == 0:
+            arm["phase"] = 0.001 * i
+        arms.append(arm)
+    arms += [
+        {"id": "short", "from": ["J0", 1], "to": ["J1", 1], "label": "S"},
+        {"id": "out", "from": ["J1", 0], "to": ["D", 0]},
+        {"id": "dark", "from": ["J1", 1], "to": ["X", 0]},
+    ]
+    return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
+
+
+@pytest.mark.parametrize("command", ["validate", "paths", "weak", "pointer"])
+def test_chain_reports_match_reference(tmp_path, capsys, monkeypatch, command):
+    scn = chain_scenario(1000)
+    if command == "pointer":
+        scn["experiment"] = {"kind": "pointer", "site": "U97", "couplings": [0.1, 0.01]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(scn))
+    docs = []
+    render_json = reports.render_json
+
+    def spy_json(doc):
+        text = render_json(doc)
+        docs.append((doc, text))
+        return text
+
+    monkeypatch.setattr(reports, "render_json", spy_json)
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == docs[0][1]
+    doc, text = docs[0]
+    assert len(doc["scenario"]["network"]["arms"]) == 1005
+    assert text == reference_render_json(doc)
+
+
+def test_a_run_of_records_is_rendered_column_by_column(monkeypatch):
+    routes = [
+        {
+            "arms": [f"a{j}" for j in range(i % 7)],
+            "sites": ["A"],
+            "amplitude": complex(i, -i),
+            "blocked": i % 3 == 0,
+        }
+        for i in range(1000)
+    ]
+    calls = []
+    render = reports._render
+
+    def counted(value, indent):
+        calls.append(type(value))
+        return render(value, indent)
+
+    monkeypatch.setattr(reports, "_render", counted)
+    assert reports.render_json({"paths": routes}) == reference_render_json({"paths": routes})
+    assert len(calls) < 10
+
+
+def error_of(call, doc):
+    with pytest.raises((NonFiniteResultError, TypeError)) as err:
+        call(doc)
+    return type(err.value), str(err.value)
+
+
+def bad_records(bad: dict) -> list:
+    """Nine same-shaped records; ``bad`` maps (record, key) to a replacement."""
+    records = [
+        {"id": f"r{i}", "value": complex(i, 1.0), "weight": 0.5 * i, "m": {"re": 1.0, "im": 0.0}}
+        for i in range(9)
+    ]
+    for (i, key), value in bad.items():
+        if key == "value.re":
+            records[i]["value"] = complex(value, 1.0)
+        elif key == "value.im":
+            records[i]["value"] = complex(1.0, value)
+        elif key == "m":
+            records[i]["m"] = value
+        else:
+            records[i][key] = value
+    return records
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        # the im of record 2 comes before the re of record 5
+        ({(2, "value.im"): np.nan, (5, "value.re"): np.inf}, "(nan)"),
+        ({(5, "value.re"): np.inf, (2, "value.im"): np.nan}, "(nan)"),
+        # a later column of an earlier record comes first
+        ({(1, "weight"): -np.inf, (3, "value.re"): np.nan}, "(-inf)"),
+        ({(3, "weight"): -np.inf, (1, "value.im"): np.inf}, "(inf)"),
+        # nested records
+        ({(6, "m"): {"re": 1.0, "im": np.nan}, (7, "value.re"): np.inf}, "(nan)"),
+        # a non-string key after a bad float, and before one
+        ({(2, "weight"): np.nan, (4, "m"): {1: 2.0}}, "(nan)"),
+        ({(4, "weight"): np.nan, (2, "m"): {"re": 1.0, 1: 2.0}}, "non-string report key: 1"),
+        # an unserializable value after a bad float
+        ({(1, "value.im"): np.inf, (2, "id"): object()}, "(inf)"),
+    ],
+)
+def test_errors_name_the_first_bad_value_in_document_order(bad, expected):
+    doc = {"records": bad_records(bad)}
+    err = error_of(reports.render_json, doc)
+    assert err == error_of(reference_render_json, doc)
+    assert err[1].endswith(expected)
+
+
+def test_dict_run_errors_in_document_order():
+    values = {f"s{i}": complex(i, 0.5) for i in range(10)}
+    values["s3"] = complex(0.0, np.inf)
+    values["s7"] = complex(np.nan, 0.0)
+    err = error_of(reports.render_json, {"weak_values": values})
+    assert err == error_of(reference_render_json, {"weak_values": values})
+    assert err[0] is NonFiniteResultError and err[1].endswith("(inf)")
+
+    keyed = {f"s{i}": complex(i, 0.5) for i in range(10)}
+    keyed[7] = complex(1.0, 0.0)
+    keyed["s2"] = complex(np.nan, 0.0)
+    err = error_of(reports.render_json, {"v": keyed})
+    assert err == error_of(reference_render_json, {"v": keyed})
+    assert err[1].endswith("(nan)")
+    del keyed["s2"]
+    assert error_of(reports.render_json, {"v": keyed}) == (TypeError, "non-string report key: 7")
+
+
+def test_overflowing_column_sum_is_not_an_error():
+    records = [{"x": 1e308, "y": -1e308} for _ in range(10)]
+    assert reports.render_json({"r": records}) == reference_render_json({"r": records})
+
+
+def test_power_is_formatted_once_per_cli_call(tmp_path, capsys, monkeypatch):
+    powers, formatted = [], []
+    spectral_result = reports.spectral_result
+    fmt_floats = reports._fmt_floats
+
+    def spy_result(report):
+        powers.append(np.array(report.power))
+        return spectral_result(report)
+
+    def spy_fmt(values, template):
+        formatted.append(np.array(values))
+        return fmt_floats(values, template)
+
+    monkeypatch.setattr(reports, "spectral_result", spy_result)
+    monkeypatch.setattr(reports, "_fmt_floats", spy_fmt)
+
+    def prints_a_power(values):
+        columns = [values] if values.ndim == 1 else list(values.T)
+        return any(np.array_equal(c, p) for c in columns for p in powers)
+
+    for command in ("spectrum", "block"):
+        powers.clear()
+        formatted.clear()
+        csv_dir = tmp_path / command
+        assert main([command, str(SCENARIOS[-1]), "--csv-dir", str(csv_dir), "--quiet"]) == 0
+        capsys.readouterr()
+        assert len(powers) == len(list(csv_dir.glob("*spectrum.csv"))) > 0
+        # one formatting per power array, shared by the report and spectrum.csv
+        assert sum(map(prints_a_power, formatted)) == len(powers)
