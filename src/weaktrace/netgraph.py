@@ -1,10 +1,12 @@
 """Directed beam-splitter networks.
 
-A network is a DAG of optical elements joined by arms.  Beam splitters
-scatter two input modes into two output modes through a 2x2 unitary;
-mirrors relay a single mode and may mark a labeled site; arms carry a
-static phase, an amplitude transmission factor, and optionally a slow
-sinusoidal phase modulation used by the spectral readout.
+A network is a DAG of optical elements joined by arms: one source,
+beam splitters, mirrors, detectors and sinks.  Beam splitters scatter two
+input modes into two output modes through a 2x2 unitary; mirrors relay a
+single mode and may mark a labeled site; arms carry a static phase, an
+amplitude transmission factor, and optionally a slow sinusoidal phase
+modulation used by the spectral readout.  The one absorber is an arm of
+transmission 0: blocking a site sets its arm's transmission to 0.
 
 Networks are immutable.  Edits (blocking a site, changing a transmission)
 produce a new, revalidated instance.  A network keeps the indexes its
@@ -37,14 +39,13 @@ from .errors import (
 SOURCE = "source"
 BEAM_SPLITTER = "beam_splitter"
 MIRROR = "mirror"
-BLOCK = "block"
 DETECTOR = "detector"
 SINK = "sink"
 
-NODE_KINDS = (SOURCE, BEAM_SPLITTER, MIRROR, BLOCK, DETECTOR, SINK)
+NODE_KINDS = (SOURCE, BEAM_SPLITTER, MIRROR, DETECTOR, SINK)
 
-IN_PORTS = {SOURCE: 0, BEAM_SPLITTER: 2, MIRROR: 1, BLOCK: 1, DETECTOR: 1, SINK: 1}
-OUT_PORTS = {SOURCE: 1, BEAM_SPLITTER: 2, MIRROR: 1, BLOCK: 1, DETECTOR: 0, SINK: 0}
+IN_PORTS = {SOURCE: 0, BEAM_SPLITTER: 2, MIRROR: 1, DETECTOR: 1, SINK: 1}
+OUT_PORTS = {SOURCE: 1, BEAM_SPLITTER: 2, MIRROR: 1, DETECTOR: 0, SINK: 0}
 
 UNITARITY_TOL = 1e-12
 

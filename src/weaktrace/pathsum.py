@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import TooManyRoutesError, UnknownLabelError
 from .netgraph import (
     BEAM_SPLITTER,
-    BLOCK,
     DETECTOR,
     MIRROR,
     OUT_PORTS,
@@ -40,7 +39,7 @@ class Path:
 
     ``arms`` lists traversed arm ids in order, ``sites`` the labels of the
     labeled arms among them.  ``blocked`` marks a geometrically present
-    route whose amplitude was forced to zero by an absorber.
+    route that passes an arm of transmission 0; its amplitude is zero.
     """
 
     arms: tuple[str, ...]
@@ -90,10 +89,7 @@ def _forward(net: Network, probed=frozenset()):
             ]
         elif node.kind == MIRROR:
             outs = [in_amp.get((node.id, 0), {})]
-        elif node.kind == BLOCK:
-            # blocked routes keep their signature with amplitude zero
-            outs = [dict.fromkeys(in_amp.get((node.id, 0), {}), 0j)]
-        else:  # detectors and sinks only absorb
+        else:  # detectors and sinks end routes
             continue
         for port, amps in enumerate(outs):
             arm = outgoing[(node.id, port)]
@@ -104,6 +100,7 @@ def _forward(net: Network, probed=frozenset()):
                     f"amplitude propagation passed {MAX_ROUTE_STEPS} steps; "
                     f"the network has too many probed-site signatures"
                 )
+            # an arm of transmission 0 zeroes its routes but keeps their signatures
             factor = arm.factor()
             site = (arm.label,) if arm.label in probed else ()
             dest = in_amp.setdefault((arm.to_node, arm.to_port), {})
@@ -175,10 +172,12 @@ def resolve_detector(net: Network, detector: str | None) -> str:
 def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
     """Exhaustively enumerate source-to-detector routes.
 
-    Routes through absorbers (block nodes or zero-transmission arms) are
-    kept, flagged as blocked, and carry amplitude exactly zero, so the
-    geometric path set is independent of which arms are blocked.  The walk
-    raises TooManyRoutesError after ``MAX_ROUTE_STEPS`` steps.
+    A route is blocked exactly when it passes an arm of transmission 0.
+    Blocked routes are kept, flagged, and carry amplitude exactly zero, so
+    the geometric path set is independent of which arms are blocked.  A
+    zero splitter entry is a structurally absent coupling, not an
+    absorber, and no route takes it.  The walk raises TooManyRoutesError
+    after ``MAX_ROUTE_STEPS`` steps.
 
     Parameters
     ----------
@@ -220,35 +219,26 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
                     )
                 )
             continue
-        if node.kind == SINK:
-            continue
-        hops = []
-        for port in range(OUT_PORTS[node.kind]):
-            if node.kind == SOURCE:
-                out_amp, out_blocked = amp, blocked
-            elif node.kind == BEAM_SPLITTER:
+        # pushed in reverse port order so output port 0 is explored first;
+        # sinks have no output ports
+        for port in reversed(range(OUT_PORTS[node.kind])):
+            out_amp = amp  # sources and mirrors relay it unchanged
+            if node.kind == BEAM_SPLITTER:
                 entry = node.scatter[port][in_port]
-                if entry == 0:
-                    # a structurally absent coupling, not an absorber
+                if entry == 0:  # a structurally absent coupling
                     continue
-                out_amp, out_blocked = amp * entry, blocked
-            elif node.kind == MIRROR:
-                out_amp, out_blocked = amp, blocked
-            else:  # BLOCK
-                out_amp, out_blocked = 0j, True
+                out_amp = amp * entry
             arm = outgoing[(node_id, port)]
-            hops.append(
+            stack.append(
                 (
                     arm.to_node,
                     arm.to_port,
                     out_amp * arm.factor(),
                     arms_so_far + (arm.id,),
                     sites_so_far + ((arm.label,) if arm.label is not None else ()),
-                    out_blocked or arm.transmission == 0.0,
+                    blocked or arm.transmission == 0.0,
                 )
             )
-        # pushed in reverse so output port 0 is explored first
-        stack.extend(reversed(hops))
 
     total = sum((p.amplitude for p in paths), 0j)
     return PathEnsemble(

@@ -222,7 +222,8 @@ def post_selected_mean(amps, disp) -> tuple[np.ndarray, np.ndarray]:
     K^2 pair overlaps are summed directly, at a cost of O(n K^2).
 
     Returns (mean, rate), arrays of length n, the mean in units of sigma.
-    Raises DegeneratePointerError when a rate is below DEGENERATE_NORM_TOL.
+    Raises DegeneratePointerError when a rate is below DEGENERATE_NORM_TOL,
+    naming the reading (row of ``disp``) with the smallest rate.
     """
     amps = np.asarray(amps, dtype=complex)
     reach = max(float(np.max(disp)), -float(np.min(disp)))
@@ -234,9 +235,10 @@ def post_selected_mean(amps, disp) -> tuple[np.ndarray, np.ndarray]:
             mean, rate = _moment_sums(amps, disp, order)
         else:
             mean, rate = _pair_sums(amps, disp)
-    if float(np.min(rate)) < DEGENERATE_NORM_TOL:
+    low = int(np.argmin(rate))
+    if rate[low] < DEGENERATE_NORM_TOL:
         raise DegeneratePointerError(
-            f"post-selected rate dips to {np.min(rate):.3e}, below "
+            f"post-selected rate dips to {rate[low]:.3e} at reading {low}, below "
             f"{DEGENERATE_NORM_TOL:g}; pointer mean is undefined there"
         )
     mean /= rate
@@ -248,7 +250,13 @@ def pointer_shift_exact(amps: tuple[complex, complex], model: PointerModel) -> f
 
     ``amps`` is (A0, A1) as ``amplitude_split`` returns it; the routes
     through the site move the pointer by g and the rest leave it: the
-    two-class, one-reading case of ``post_selected_mean``.
+    two-class, one-reading case of ``post_selected_mean``, whose
+    DegeneratePointerError names the model's site and coupling.
     """
-    mean, _ = post_selected_mean(amps, np.array([[0.0, model.coupling / model.sigma]]))
+    try:
+        mean, _ = post_selected_mean(amps, np.array([[0.0, model.coupling / model.sigma]]))
+    except DegeneratePointerError as exc:
+        raise DegeneratePointerError(
+            f"pointer at site {model.site!r} with coupling {model.coupling!r}: {exc}"
+        ) from None
     return float(mean[0]) * model.sigma

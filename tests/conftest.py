@@ -92,6 +92,51 @@ def route_amplitude_split(ens, site):
     return ens.total - a1, a1
 
 
+def two_state_split(net, site, detector):
+    """(A1, total) oracle in the two-state form: with fwd the amplitude the
+    source sends into a point and bwd the amplitude a point sends on to the
+    detector, A1 = fwd(arm) * factor(arm) * bwd(arm's end) for the arm
+    carrying ``site``, and total = bwd at the source.  One forward loop and
+    one backward loop over the topological order, each splitter applied
+    transposed on the way back; nothing from ``pathsum``."""
+    order = net.topological_order()
+    outgoing = net.outgoing()
+    fwd_in, fwd_out = {}, {}  # amplitude at each (node, input port) / into each (node, output port)
+    for node in order:
+        ins = [fwd_in.get((node.id, q), 0j) for q in range(2)]
+        if node.kind == SOURCE:
+            fwd_out[(node.id, 0)] = 1.0 + 0j
+        elif node.kind == BEAM_SPLITTER:
+            for p, row in enumerate(node.scatter):
+                fwd_out[(node.id, p)] = row[0] * ins[0] + row[1] * ins[1]
+        elif node.kind == MIRROR:
+            fwd_out[(node.id, 0)] = ins[0]
+        for p in range(2):
+            arm = outgoing.get((node.id, p))
+            if arm is not None:
+                key = (arm.to_node, arm.to_port)
+                fwd_in[key] = fwd_in.get(key, 0j) + fwd_out[(node.id, p)] * arm.factor()
+    bwd_in, bwd_out = {}, {}  # amplitude on to the detector from the same points
+    for node in reversed(order):
+        for p in range(2):
+            arm = outgoing.get((node.id, p))
+            if arm is not None:
+                bwd_out[(node.id, p)] = arm.factor() * bwd_in[(arm.to_node, arm.to_port)]
+        if node.kind == DETECTOR:
+            bwd_in[(node.id, 0)] = 1.0 + 0j if node.id == detector else 0j
+        elif node.kind == SINK:
+            bwd_in[(node.id, 0)] = 0j
+        elif node.kind == BEAM_SPLITTER:
+            s = node.scatter
+            for q in range(2):
+                bwd_in[(node.id, q)] = s[0][q] * bwd_out[(node.id, 0)] + s[1][q] * bwd_out[(node.id, 1)]
+        elif node.kind == MIRROR:
+            bwd_in[(node.id, 0)] = bwd_out[(node.id, 0)]
+    arm = net.labeled_arm(site)
+    a1 = fwd_out[(arm.from_node, arm.from_port)] * arm.factor() * bwd_in[(arm.to_node, arm.to_port)]
+    return a1, bwd_out[(net.source, 0)]
+
+
 def _reference_float(x: float) -> str:
     if not math.isfinite(x):
         raise NonFiniteResultError(f"the result holds a non-finite value ({x!r})")

@@ -8,7 +8,8 @@ import pytest
 
 from weaktrace import cli, pathsum, reports, spectra, weakval
 from weaktrace.cli import main
-from weaktrace.errors import NonFiniteResultError
+from weaktrace.errors import NetworkError, NonFiniteResultError
+from weaktrace.netgraph import DETECTOR, SOURCE, Arm, Node, build_network
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -206,6 +207,62 @@ def test_exit_4_on_numeric_degeneracy(tmp_path, capsys):
     code, _, err = run(capsys, ["weak", scn])
     assert code == 4
     assert json.loads(err)["error"] == "vanishing_total"
+
+
+def _chain_doc(kind, transmission):
+    """A source, one node of ``kind`` and a detector, joined by arms "in" and
+    "X"; the labeled arm X, out of the middle node, has the given transmission."""
+    return {
+        "network": {
+            "kind": "custom",
+            "nodes": [
+                {"id": "SRC", "kind": "source"},
+                {"id": "M", "kind": kind},
+                {"id": "D", "kind": "detector"},
+            ],
+            "arms": [
+                {"id": "in", "from": ["SRC", 0], "to": ["M", 0]},
+                {"id": "X", "from": ["M", 0], "to": ["D", 0], "label": "X", "transmission": transmission},
+            ],
+        }
+    }
+
+
+def test_block_node_kind_is_refused(tmp_path, capsys):
+    # the one absorber is an arm of transmission 0: a `block` node is no kind
+    scn = write(tmp_path, "block_node.json", json.dumps(_chain_doc("block", 1.0)))
+    code, out, err = run(capsys, ["paths", scn])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "schema_error",
+        "message": "$.network.nodes[1].kind: unknown node kind 'block'",
+    }
+    with pytest.raises(NetworkError, match="unknown kind 'block'"):
+        build_network(
+            [Node("SRC", SOURCE), Node("B", "block"), Node("D", DETECTOR)],
+            [Arm("in", "SRC", 0, "B", 0), Arm("out", "B", 0, "D", 0)],
+        )
+    # its rewrite, a mirror whose outgoing arm has transmission 0, blocks the route
+    scn = write(tmp_path, "absorbing_arm.json", json.dumps(_chain_doc("mirror", 0)))
+    code, out, _ = run(capsys, ["paths", scn])
+    assert code == 0
+    (route,) = json.loads(out)["result"]["paths"]
+    assert route["arms"] == ["in", "X"] and route["blocked"] is True
+    assert route["amplitude"] == {"re": 0, "im": 0}
+
+
+def test_degenerate_pointer_names_site_coupling_and_reading(tmp_path, capsys):
+    # the total 1e-9 is no vanishing total, but the post-selected rate is 1e-18
+    doc = _chain_doc("mirror", 1e-9)
+    doc["experiment"] = {"kind": "pointer", "site": "X", "sigma": 1.0, "couplings": [0.5]}
+    scn = write(tmp_path, "dim_chain.json", json.dumps(doc))
+    code, out, err = run(capsys, ["pointer", scn])
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "degenerate_pointer",
+        "message": "pointer at site 'X' with coupling 0.5: post-selected rate dips to "
+        "1.000e-18 at reading 0, below 1e-14; pointer mean is undefined there",
+    }
 
 
 def test_experiment_subcommand_mismatch(tmp_path, capsys):

@@ -7,7 +7,13 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_calls, path_by_sites, route_amplitude_split, route_weak_value
+from conftest import (
+    kernel_calls,
+    path_by_sites,
+    route_amplitude_split,
+    route_weak_value,
+    two_state_split,
+)
 from weaktrace import (
     PointerModel,
     amplitude_split,
@@ -221,7 +227,8 @@ def test_pointer_first_order_prediction(std_net):
 
 def test_degenerate_pointer_raises(dark_port_net):
     amps = amplitude_split(dark_port_net, "X")
-    with pytest.raises(DegeneratePointerError):
+    where = r"^pointer at site 'X' with coupling 0\.0: post-selected rate dips to .* at reading 0,"
+    with pytest.raises(DegeneratePointerError, match=where):
         pointer_shift_exact(amps, PointerModel(site="X", sigma=1.0, coupling=0.0))
 
 
@@ -270,6 +277,11 @@ def test_one_site_passes_match_the_route_sum_on_random_networks():
             w = weak_values(net, detector=det)
             for site in sorted(net.site_labels()):
                 assert abs(w[site] - route_weak_value(ens, site)) < 1e-12, (seed, det, site)
+                # the two-state product fwd * factor * bwd over bwd at the source
+                a1, total = two_state_split(net, site, det)
+                assert abs(total - ens.total) < 1e-12, (seed, det)
+                assert abs(a1 - amplitude_split(net, site, det)[1]) < 1e-12, (seed, det, site)
+                assert abs(a1 / total - w[site]) < 1e-12, (seed, det, site)
                 model = PointerModel(site=site, sigma=1.0, coupling=0.5)
                 shift = pointer_shift_exact(amplitude_split(net, site, det), model)
                 oracle = pointer_shift_exact(route_amplitude_split(ens, site), model)
@@ -334,13 +346,13 @@ def test_series_order_bounds_the_remainder():
 
 
 def test_series_branch_raises_degenerate_pointer(monkeypatch):
-    # eight classes whose amplitudes cancel: the undisplaced reading has
+    # eight classes whose amplitudes cancel: the undisplaced reading 2 has
     # rate 0, the others a rate of order d^2
     series = kernel_calls(monkeypatch, "_moment_sums")
     amps = np.array([1.0, -1.0, 1j, -1j, 0.5, -0.5, 2.0, -2.0])
-    disp = np.zeros((4, 8))
-    disp[1:] = np.linspace(-0.01, 0.01, 8)
-    with pytest.raises(DegeneratePointerError, match="post-selected rate dips to"):
+    disp = np.tile(np.linspace(-0.01, 0.01, 8), (4, 1))
+    disp[2] = 0.0
+    with pytest.raises(DegeneratePointerError, match="post-selected rate dips to .* at reading 2,"):
         weakval.post_selected_mean(amps, disp)
     assert series == [(8, 4)]
 
