@@ -131,15 +131,6 @@ class Network:
     _by_label: dict[str, Arm] = field(compare=False, repr=False)
     _order: tuple[Node, ...] = field(compare=False, repr=False)
 
-    def node(self, node_id: str) -> Node:
-        return self._by_id[node_id]
-
-    def arm(self, arm_id: str) -> Arm:
-        for a in self.arms:
-            if a.id == arm_id:
-                return a
-        raise KeyError(arm_id)
-
     def labeled_arm(self, label: str) -> Arm:
         """The unique arm carrying a site label.
 
@@ -347,27 +338,24 @@ def standard_nested_mzi(bs1=None, bs2=None, bs3=None, bs4=None) -> Network:
     return build_network(nodes, arms)
 
 
-def set_transmission(net: Network, site: str, value: float) -> Network:
-    """A copy of ``net`` with the labeled arm's transmission replaced."""
-    target = net.labeled_arm(site)
-    arms = tuple(
-        dataclasses.replace(a, transmission=value) if a.id == target.id else a
-        for a in net.arms
-    )
+def _replace_arms(net: Network, sites, **changes) -> Network:
+    """A copy of ``net`` with ``changes`` made to the arm of each labeled
+    site, validated once; an unknown site raises UnknownLabelError first."""
+    targets = {net.labeled_arm(site).id for site in sites}
+    arms = tuple(dataclasses.replace(a, **changes) if a.id in targets else a for a in net.arms)
     return build_network(net.nodes, arms)
 
 
-def apply_block(net: Network, site: str) -> Network:
-    """A copy of ``net`` with the labeled arm fully absorbing."""
-    return set_transmission(net, site, 0.0)
+def set_transmission(net: Network, site: str, value: float) -> Network:
+    """A copy of ``net`` with the labeled arm's transmission replaced."""
+    return _replace_arms(net, (site,), transmission=value)
+
+
+def apply_block(net: Network, *sites: str) -> Network:
+    """A copy of ``net`` with the arm of each labeled site fully absorbing."""
+    return _replace_arms(net, sites, transmission=0.0)
 
 
 def set_modulation(net: Network, site: str, delta: float, bin: int) -> Network:
     """A copy of ``net`` with a sinusoidal probe on the labeled arm."""
-    target = net.labeled_arm(site)
-    mod = Modulation(delta=float(delta), bin=int(bin))
-    arms = tuple(
-        dataclasses.replace(a, modulation=mod) if a.id == target.id else a
-        for a in net.arms
-    )
-    return build_network(net.nodes, arms)
+    return _replace_arms(net, (site,), modulation=Modulation(delta=float(delta), bin=int(bin)))

@@ -65,9 +65,9 @@ def _forward(net: Network, probed=frozenset()):
     in route order (one order per site set, since the graph is acyclic).
     Every port and arm carries a map {signature: summed amplitude of the
     routes with that signature}; with nothing probed, each map holds at
-    most the empty signature.  Returns (in_amp, arm_in): the maps arriving
-    at each (node, port) and entering each arm (before its own factor
-    applies).
+    most the empty signature.  As in ``enumerate_paths``, no route takes a
+    zero splitter entry.  Returns (in_amp, arm_in): the maps arriving at
+    each (node, port) and entering each arm (before its own factor applies).
 
     Each map-entry update is one step; past ``MAX_ROUTE_STEPS`` steps the
     pass raises TooManyRoutesError.
@@ -84,7 +84,10 @@ def _forward(net: Network, probed=frozenset()):
             m1 = in_amp.get((node.id, 1), {})
             sigs = {**m0, **m1}  # signatures in first-seen order
             outs = [
-                {sig: row[0] * m0.get(sig, 0j) + row[1] * m1.get(sig, 0j) for sig in sigs}
+                {
+                    sig: row[0] * m0.get(sig, 0j) + row[1] * m1.get(sig, 0j)
+                    for sig in (sigs if row[0] and row[1] else m0 if row[0] else m1)
+                }
                 for row in node.scatter
             ]
         elif node.kind == MIRROR:
@@ -144,9 +147,10 @@ def signature_amplitudes(net: Network, sites, detector: str | None = None) -> di
     Routes to the detector are grouped by the tuple of ``sites`` they
     pass, in route order, and their amplitudes summed within each group:
     one forward pass, no route enumeration.  Classes of blocked routes
-    are present with amplitude zero; an empty result means no route
-    reaches the detector.  Raises UnknownLabelError for a site no arm
-    carries and TooManyRoutesError past ``MAX_ROUTE_STEPS`` map updates.
+    are present with amplitude zero, a zero splitter entry adds no class,
+    and an empty result means no route reaches the detector.  Raises
+    UnknownLabelError for a site no arm carries and TooManyRoutesError
+    past ``MAX_ROUTE_STEPS`` map updates.
     """
     target = resolve_detector(net, detector)
     sites = tuple(sites)

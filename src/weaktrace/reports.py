@@ -27,11 +27,11 @@ byte, so the report format does not change.
 NaN and inf are refused with ``NonFiniteResultError``, and a non-string
 key with ``TypeError``; either names the first bad value in document
 order.  When a column's check fails, the run is rendered again value by
-value, which raises at the first bad value that order meets.  A float
-array or a whole CSV table is checked with one array-wide ``np.isfinite``
-test and written with one ``%`` call on a template that repeats
-``FLOAT_FORMAT``.  A spectrum's power is a ``Floats`` in its report, so
-the JSON report and ``spectrum.csv`` share one formatting of it.
+value, which raises at the first bad value that order meets.  A
+spectrum's power, a ``Floats`` in its report, and a whole CSV table are
+each checked with one array-wide ``np.isfinite`` test and written with
+one ``%`` call on a template that repeats ``FLOAT_FORMAT``, so the JSON
+report and ``spectrum.csv`` share one formatting of the power.
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ def _render(value, indent: int) -> str:
         kinds = set(map(type, value))
         if kinds == {str}:
             return "[" + ", ".join(map(_encode_str, value)) + "]"
-        if kinds == {float}:
-            return _fmt_floats(np.array(value), "[" + ", ".join([FLOAT_FORMAT] * len(value)) + "]")
         if all(issubclass(k, _SCALARS) for k in kinds):
             return "[" + ", ".join([_render(v, indent + 1) for v in value]) + "]"
         text = _render_run(value, indent)

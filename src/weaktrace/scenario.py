@@ -244,7 +244,10 @@ def _probe(value) -> Modulation:
     """A probe's {"delta", "bin"}, on an arm or in an experiment plan."""
     obj = _object(value)
     _check_keys(obj, ("delta", "bin"), ("delta", "bin"))
-    return Modulation(delta=_at(obj, "delta", _number), bin=_at(obj, "bin", _integer))
+    delta = _at(obj, "delta", _number)
+    if delta < 0.0:
+        raise _Invalid("modulation depth must be non-negative", "delta")
+    return Modulation(delta=delta, bin=_at(obj, "bin", _integer))
 
 
 def _node(value) -> Node:
@@ -450,8 +453,8 @@ def build_scenario_network(section: NetworkSection) -> Network:
         net = standard_nested_mzi(**overrides)
     else:
         net = build_network(section.nodes, section.arms)
-    for site in section.blocks:
-        net = apply_block(net, site)
+    if section.blocks:  # every blocked site in one rebuild
+        net = apply_block(net, *section.blocks)
     return net
 
 

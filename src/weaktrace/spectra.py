@@ -324,14 +324,18 @@ def run_blocking_suite(
 
     Each configuration records the static click probability alongside the
     spectral report, so presence of peaks can be compared against how
-    little the overall rate moved.
+    little the overall rate moved.  A degenerate readout raises
+    DegeneratePointerError naming its configuration.
     """
     target = resolve_detector(net, detector)
     configs = []
     variants = [("baseline", None)] + [(f"block_{s}", s) for s in block_sites]
     for name, site in variants:
         net_c = apply_block(net, site) if site is not None else net
-        report = run_spectral_experiment(net_c, plan, sigma, noise=None, detector=target)
+        try:
+            report = run_spectral_experiment(net_c, plan, sigma, noise=None, detector=target)
+        except DegeneratePointerError as exc:
+            raise DegeneratePointerError(f"configuration {name!r}: {exc}") from exc
         configs.append(
             BlockingConfig(
                 name=name,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from weaktrace import enumerate_paths, relative_amplitudes, standard_nested_mzi, weakval
+from weaktrace import enumerate_paths, netgraph, relative_amplitudes, standard_nested_mzi, weakval
 from weaktrace.netgraph import (
     BEAM_SPLITTER,
     DETECTOR,
@@ -40,6 +40,15 @@ def kernel_calls(monkeypatch, name):
         return kernel(amps, disp, *order)
 
     monkeypatch.setattr(weakval, name, counted)
+    return calls
+
+
+def build_calls(monkeypatch):
+    """Record each validation that ``netgraph`` itself runs: one per
+    ``standard_nested_mzi`` and one per edit (``apply_block``, ...)."""
+    calls = []
+    real = netgraph.build_network
+    monkeypatch.setattr(netgraph, "build_network", lambda *a: calls.append(1) or real(*a))
     return calls
 
 

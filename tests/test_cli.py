@@ -265,6 +265,45 @@ def test_degenerate_pointer_names_site_coupling_and_reading(tmp_path, capsys):
     }
 
 
+def test_degenerate_blocking_configuration_is_named(tmp_path, capsys):
+    # blocking C leaves D dark at sample 0, where no probe displaces a route
+    doc = {"network": "standard", "experiment": {"kind": "blocking", "samples": 64}}
+    doc["experiment"]["block_sites"] = ["C"]
+    scn = write(tmp_path, "block_c.json", json.dumps(doc))
+    code, out, err = run(capsys, ["block", scn])
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "degenerate_pointer",
+        "message": "configuration 'block_C': post-selected rate dips to 0.000e+00 "
+        "at reading 0, below 1e-14; pointer mean is undefined there",
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "paths", "weak", "pointer", "spectrum", "block"])
+@pytest.mark.parametrize("with_experiment", [True, False])
+def test_negative_arm_depth_is_schema_error(tmp_path, capsys, command, with_experiment):
+    doc = json.loads((SCENARIOS / "custom_mzi.json").read_text())
+    doc["network"]["arms"][1]["modulation"]["delta"] = -0.01
+    if not with_experiment:
+        del doc["experiment"]
+    scn = write(tmp_path, "negative_depth.json", json.dumps(doc))
+    code, out, err = run(capsys, [command, scn])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "schema_error",
+        "message": "$.network.arms[1].modulation.delta: modulation depth must be non-negative",
+    }
+
+
+def test_seed_without_noise_model_is_noted(tmp_path, capsys):
+    doc = {"network": "standard", "experiment": {"kind": "spectral", "samples": 64}}
+    scn = write(tmp_path, "quiet.json", json.dumps(doc))
+    code, out, err = run(capsys, ["spectrum", scn, "--seed", "3"])
+    assert code == 0
+    assert err == "note: --seed ignored, scenario has no noise model\n"
+    assert run(capsys, ["spectrum", scn, "--seed", "3", "--quiet"]) == (0, out, "")
+
+
 def test_experiment_subcommand_mismatch(tmp_path, capsys):
     scn = write(tmp_path, "noisy.json", SPECTRAL_NOISY)
     code, _, err = run(capsys, ["paths", scn])

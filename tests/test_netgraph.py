@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import build_calls
 from weaktrace import (
     Modulation,
     apply_block,
@@ -35,6 +36,7 @@ from weaktrace.netgraph import (
     SOURCE,
     Arm,
     Node,
+    as_matrix2,
     hadamard,
     standard_nested_mzi,
 )
@@ -66,8 +68,20 @@ def test_hadamard_is_unitary():
 def test_scatter_override_applies():
     swap = ((0j, 1 + 0j), (1 + 0j, 0j))
     net = standard_nested_mzi(bs2=swap)
-    assert net.node("BS2").scatter == swap
-    assert net.node("BS1").scatter == hadamard()
+    assert net.node_map()["BS2"].scatter == swap
+    assert net.node_map()["BS1"].scatter == hadamard()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.eye(3), r"must be 2x2, got shape \(3, 3\)"),
+        ([[1.0, math.nan], [0.0, 1.0]], "non-finite entries"),
+    ],
+)
+def test_as_matrix2_refuses(value, message):
+    with pytest.raises(NetworkError, match=message):
+        as_matrix2(value)
 
 
 def test_non_unitary_scatter_rejected():
@@ -255,6 +269,23 @@ def test_apply_block_is_functional(std_net):
     assert apply_block(blocked, "B") == blocked
 
 
+def test_apply_block_blocks_several_sites_in_one_rebuild(std_net, monkeypatch):
+    calls = build_calls(monkeypatch)
+    blocked = apply_block(std_net, "A", "C", "A")
+    assert len(calls) == 1
+    assert [a.id for a in blocked.arms if a.transmission == 0.0] == ["C", "A"]
+    # the first unknown site is named, before anything is rebuilt
+    with pytest.raises(UnknownLabelError, match="'Z'"):
+        apply_block(std_net, "A", "Z", "Y")
+    assert len(calls) == 1
+    assert blocked == apply_block(apply_block(std_net, "C"), "A")
+
+
+def test_duplicate_arm_id_rejected(std_net):
+    with pytest.raises(DuplicateLabelError, match="duplicate arm id 'E'"):
+        build_network(std_net.nodes, std_net.arms + (std_net.arms[1],))
+
+
 def test_unknown_label_raises(std_net):
     with pytest.raises(UnknownLabelError):
         apply_block(std_net, "Z")
@@ -287,7 +318,7 @@ def test_topological_order_respects_arms(std_net):
             assert pos[arm.from_node] < pos[arm.to_node]
         assert net.outgoing() == {(a.from_node, a.from_port): a for a in net.arms}
         for n in net.nodes:
-            assert net.node(n.id) is n
+            assert net.node_map()[n.id] is n
 
 
 def test_outgoing_is_read_only(std_net):

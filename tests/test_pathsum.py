@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -194,6 +195,47 @@ def test_random_networks_blocking_never_adds_paths():
         assert sum(p.blocked for p in blocked.paths) >= sum(
             p.blocked for p in base.paths
         )
+
+
+SWAP = ((0j, 1 + 0j), (1 + 0j, 0j))
+IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+
+
+def _with_absent_couplings(rng):
+    """A random layered network with about 40 % of its splitters replaced by
+    a swap or an identity, whose zero entries are absent couplings, and
+    about 20 % of its labeled arms blocked; and how many were replaced."""
+    net = random_layered_network(rng, 6)
+    nodes = [
+        dataclasses.replace(n, scatter=(SWAP, IDENTITY)[rng.integers(2)])
+        if n.kind == BEAM_SPLITTER and rng.uniform() < 0.4
+        else n
+        for n in net.nodes
+    ]
+    replaced = sum(a is not b for a, b in zip(nodes, net.nodes))
+    net = build_network(nodes, net.arms)
+    blocked = [s for s in sorted(net.site_labels()) if rng.uniform() < 0.2]
+    return apply_block(net, *blocked), replaced
+
+
+def test_signature_classes_are_the_routes_grouped_by_sites():
+    """No route takes a zero splitter entry, so the signature pass adds no
+    class for it: its classes are the walk's routes grouped by the sites
+    they pass, blocked routes included, with the same summed amplitudes."""
+    replaced = 0
+    for seed in range(120):
+        net, count = _with_absent_couplings(np.random.default_rng(5000 + seed))
+        replaced += count
+        sites = sorted(net.site_labels())
+        for det in net.detectors:
+            routes = {}
+            for p in enumerate_paths(net, det).paths:
+                routes[p.sites] = routes.get(p.sites, 0j) + p.amplitude
+            classes = signature_amplitudes(net, sites, det)
+            assert classes.keys() == routes.keys(), (seed, det)
+            for sig, amp in routes.items():
+                assert abs(classes[sig] - amp) < 1e-12, (seed, det, sig)
+    assert replaced > 100
 
 
 def test_route_enumeration_is_bounded(std_net, monkeypatch):

@@ -155,6 +155,22 @@ def test_unserializable_values_are_refused():
         reports.render_json({"x": object()})
 
 
+def test_short_float_list_names_its_first_non_finite_value():
+    doc = {"couplings": [0.125, np.nan, -np.inf]}
+    message = refused(reports.render_json, doc)
+    assert message == refused(reference_render_json, doc)
+    assert re.search(r"\(nan\)$", message)
+
+
+def test_dict_subclass_is_written_as_its_dict():
+    class Record(dict):
+        pass
+
+    doc = {"a": 0.5, "b": ["x"], "c": {"re": 1.0, "im": -0.0}}
+    assert reports.render_json(Record(doc)) == reports.render_json(doc)
+    assert reports.render_json({"r": Record(doc)}) == reports.render_json({"r": doc})
+
+
 # -- the column emitter ------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import build_calls
 from weaktrace import ModulationPlan, NoiseModel, SiteModulation
 from weaktrace.errors import NonUnitaryScatterError, SchemaError, UnknownLabelError
 from weaktrace.scenario import (
@@ -89,7 +90,7 @@ def test_scatter_override_roundtrip():
     assert sc.network.scatter == (("BS2", ((0j, 1 + 0j), (1 + 0j, 0j))),)
     assert sc.network.blocks == ("A",)
     net = build_scenario_network(sc.network)
-    assert net.node("BS2").scatter == ((0j, 1 + 0j), (1 + 0j, 0j))
+    assert net.node_map()["BS2"].scatter == ((0j, 1 + 0j), (1 + 0j, 0j))
     assert net.labeled_arm("A").transmission == 0.0
     assert parse_scenario(json.dumps(scenario_doc(sc))) == sc
 
@@ -376,6 +377,54 @@ def test_wrong_types_report_their_path():
         with pytest.raises(SchemaError) as err:
             parse_scenario(text)
         assert err.value.path == path, text
+
+
+def test_blocks_are_applied_in_one_rebuild(monkeypatch):
+    calls = build_calls(monkeypatch)
+    sc = parse_scenario('{"network": {"kind": "standard", "blocks": ["A", "B"]}}')
+    net = build_scenario_network(sc.network)
+    # the standard network, then one rebuild for both blocked sites
+    assert len(calls) == 2
+    assert [a.id for a in net.arms if a.transmission == 0.0] == ["A", "B"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"network": "nested"}', "$.network: unknown network shorthand 'nested'"),
+        ('{"network": {"kind": "ring"}}', '$.network.kind: expected "standard" or "custom"'),
+        (
+            '{"network": "standard", "experiment": {"kind": "blocking", "block_sites": []}}',
+            "$.experiment.block_sites: must name at least one site",
+        ),
+    ],
+    ids=["shorthand", "kind", "block_sites"],
+)
+def test_unknown_network_forms_and_empty_block_sites_are_refused(text, message):
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        (
+            json.dumps(with_value(("network", "arms", 1, "modulation", "delta"), -0.01)),
+            "$.network.arms[1].modulation.delta",
+        ),
+        (
+            '{"network": "standard", "experiment": {"kind": "spectral", '
+            '"plan": {"A": {"delta": -0.01, "bin": 13}}}}',
+            "$.experiment.plan.A.delta",
+        ),
+    ],
+    ids=["arm", "plan"],
+)
+def test_negative_probe_depth_is_refused_at_its_path(text, path):
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"{path}: modulation depth must be non-negative"
 
 
 def test_negative_noise_std_rejected():

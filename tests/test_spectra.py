@@ -321,6 +321,11 @@ def test_noise_model_rejects_negative_seed():
         NoiseModel(std=1e-4, seed=-1)
 
 
+def test_noise_model_rejects_negative_std():
+    with pytest.raises(ValueError, match="noise std -1 invalid"):
+        NoiseModel(std=-1)
+
+
 def test_report_is_self_consistent(std_net):
     report = run_spectral_experiment(
         std_net, default_plan(0.01), 1.0, noise=NoiseModel(std=1e-5, seed=3)
@@ -681,3 +686,19 @@ def test_wide_readout_takes_the_series(monkeypatch):
         sm.delta * w[sm.site].real * np.sin(2 * np.pi * sm.bin * k / 1024) for sm in plan.sites
     )
     assert np.max(np.abs(xbar - first)) < 1e-3 * np.max(np.abs(first))
+
+
+def test_blocking_suite_config_refuses_an_unknown_name(std_net):
+    suite = run_blocking_suite(std_net, default_plan(0.01, samples=64), sigma=1.0)
+    with pytest.raises(KeyError, match="block_C"):
+        suite.config("block_C")
+
+
+def test_degenerate_configuration_is_named(std_net):
+    # blocking C leaves D dark at sample 0, where no probe displaces a route
+    with pytest.raises(DegeneratePointerError, match=r"^configuration 'block_C': post-selected"):
+        run_blocking_suite(std_net, default_plan(0.01, samples=64), block_sites=("E", "C"))
+    # the dark-port interferometer's detector is dark before anything is blocked
+    plan = ModulationPlan(sites=(SiteModulation("X", 0.01, 13),), samples=64)
+    with pytest.raises(DegeneratePointerError, match=r"^configuration 'baseline': post-selected"):
+        run_blocking_suite(make_dark_port_mzi(), plan, block_sites=("X",))

@@ -106,7 +106,7 @@ def test_global_phase_leaves_weak_values_alone(phi):
     from weaktrace import standard_nested_mzi
 
     net = standard_nested_mzi()
-    arm_in = net.arm("in")
+    arm_in = net.outgoing()[("SRC", 0)]
     rotated = tuple(
         dataclasses.replace(a, static_phase=phi) if a.id == "in" else a
         for a in net.arms
