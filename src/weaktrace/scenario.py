@@ -7,9 +7,13 @@ wrong types, and out-of-range values raise SchemaError naming the JSON
 path of the first bad value, such as ``$.network.arms[3].from[0]``; of
 several missing required keys, the first in a fixed order is named.  Each
 reader takes only the value it reads, and the path is spelled only when a
-check fails.  Semantic problems that need the assembled graph
-(non-unitary scatter, cycles, unknown site labels) are deferred to
-network construction.
+check fails.  A custom network's ``nodes`` and ``arms`` are read one
+column at a time: each field of every record is gathered into one list and
+checked by the types it holds.  If any such check fails, the record readers
+read the array again from its first item; they alone name the first bad
+value, so both ways accept the same documents and build the same records.
+Semantic problems that need the assembled graph (non-unitary scatter,
+cycles, unknown site labels) are deferred to network construction.
 
 ``parse_scenario`` fills every default, and ``scenario_doc`` renders a
 Scenario back to a plain document, so parse(render(s)) == s.
@@ -17,6 +21,7 @@ Scenario back to a plain document, so parse(render(s)) == s.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -250,9 +255,15 @@ def _probe(value) -> Modulation:
     return Modulation(delta=delta, bin=_at(obj, "bin", _integer))
 
 
+_NODE_KEYS = ("id", "kind", "scatter", "label")
+_NODE_REQUIRED = ("id", "kind")
+_ARM_KEYS = ("id", "from", "to", "label", "phase", "transmission", "modulation")
+_ARM_REQUIRED = ("id", "from", "to")
+
+
 def _node(value) -> Node:
     obj = _object(value)
-    _check_keys(obj, ("id", "kind", "scatter", "label"), ("id", "kind"))
+    _check_keys(obj, _NODE_KEYS, _NODE_REQUIRED)
     kind = _at(obj, "kind", _string)
     if kind not in NODE_KINDS:
         raise _Invalid(f"unknown node kind {kind!r}", "kind")
@@ -263,8 +274,7 @@ def _node(value) -> Node:
 
 def _arm(value) -> Arm:
     obj = _object(value)
-    allowed = ("id", "from", "to", "label", "phase", "transmission", "modulation")
-    _check_keys(obj, allowed, ("id", "from", "to"))
+    _check_keys(obj, _ARM_KEYS, _ARM_REQUIRED)
     # from_node, from_port, to_node, to_port
     ends = (*_at(obj, "from", _endpoint), *_at(obj, "to", _endpoint))
     modulation = _at(obj, "modulation", _probe, None)
@@ -276,6 +286,101 @@ def _arm(value) -> Arm:
         transmission=_at(obj, "transmission", _number, 1.0),
         modulation=modulation,
     )
+
+
+class _Irregular(Exception):
+    """A failed column check; the record readers then name the bad value."""
+
+
+def _shapes(items, allowed, required) -> set[tuple[str, ...]]:
+    """The distinct key tuples of ``items``, if it is a non-empty list of
+    exact dicts whose keys are all ``allowed`` and include ``required``."""
+    if type(items) is not list or not items or set(map(type, items)) != {dict}:
+        raise _Irregular
+    shapes = set(map(tuple, items))
+    for keys in shapes:
+        if not set(required) <= set(keys) <= set(allowed):
+            raise _Irregular
+    return shapes
+
+
+def _typed_column(values, *kinds):
+    """``values``, if the type of each is exactly one of ``kinds``; only
+    types are hashed, since a value may be a list."""
+    if not set(map(type, values)) <= set(kinds):
+        raise _Irregular
+    return values
+
+
+def _field(items, key, *kinds):
+    """The value under ``key``, a required key, on every item."""
+    return _typed_column([item[key] for item in items], *kinds)
+
+
+def _endpoints(items, key):
+    """Node ids and ports of the ``[node_id, port]`` under ``key`` on every item."""
+    ends = _field(items, key, list)
+    if set(map(len, ends)) != {2}:
+        raise _Irregular
+    node_ids, ports = zip(*ends)
+    return _typed_column(node_ids, str), _typed_column(ports, int)
+
+
+def _numbers(items, key, default: float) -> list[float]:
+    """Finite numbers under ``key``, ``default`` where it is absent."""
+    values = _typed_column([item.get(key, default) for item in items], float, int)
+    values = list(map(float, values))  # OverflowError past the float range
+    # an inf or a nan makes the sum non-finite (as can two huge finite
+    # values, which the record readers then accept)
+    if not math.isfinite(sum(values)):
+        raise _Irregular
+    return values
+
+
+_ABSENT = object()
+
+
+def _optional(items, shapes, key, read) -> list:
+    """``read`` of the value under ``key`` on every item, None where it is absent."""
+    if not any(key in keys for keys in shapes):
+        return [None] * len(items)
+    values = [item.get(key, _ABSENT) for item in items]
+    return [None if v is _ABSENT else read(v) for v in values]  # read(None) fails
+
+
+def _node_columns(items) -> tuple[Node, ...]:
+    shapes = _shapes(items, _NODE_KEYS, _NODE_REQUIRED)
+    kinds = _field(items, "kind", str)
+    if not set(kinds) <= set(NODE_KINDS):
+        raise _Irregular
+    scatters = _optional(items, shapes, "scatter", _matrix)
+    labels = _optional(items, shapes, "label", _string)
+    return tuple(map(Node, _field(items, "id", str), kinds, scatters, labels))
+
+
+def _arm_columns(items) -> tuple[Arm, ...]:
+    shapes = _shapes(items, _ARM_KEYS, _ARM_REQUIRED)
+    return tuple(
+        map(
+            Arm,
+            _field(items, "id", str),
+            *_endpoints(items, "from"),
+            *_endpoints(items, "to"),
+            _optional(items, shapes, "label", _string),
+            _numbers(items, "phase", 0.0),
+            _numbers(items, "transmission", 1.0),
+            _optional(items, shapes, "modulation", _probe),
+        )
+    )
+
+
+def _records(value, columns, read) -> tuple:
+    """``columns(value)``, or, if one of its checks fails, ``value`` read
+    item by item by ``read``, which names the first bad value."""
+    try:
+        return columns(value)
+    except (_Irregular, _Invalid, OverflowError):
+        return _items(read)(value)
 
 
 def _standard_scatter(value) -> tuple[tuple[str, Matrix2], ...]:
@@ -298,7 +403,10 @@ def _network(value) -> NetworkSection:
         parts = {"scatter": _at(obj, "scatter", _standard_scatter, ())}
     elif kind == "custom":
         _check_keys(obj, ("kind", "nodes", "arms", "blocks"), ("nodes", "arms"))
-        parts = {"nodes": _at(obj, "nodes", _items(_node)), "arms": _at(obj, "arms", _items(_arm))}
+        parts = {
+            "nodes": _at(obj, "nodes", lambda v: _records(v, _node_columns, _node)),
+            "arms": _at(obj, "arms", lambda v: _records(v, _arm_columns, _arm)),
+        }
     else:
         raise _Invalid('expected "standard" or "custom"', "kind")
     return NetworkSection(kind=kind, blocks=_at(obj, "blocks", _string_list, ()), **parts)
@@ -451,10 +559,23 @@ def build_scenario_network(section: NetworkSection) -> Network:
     if section.kind == "standard":
         overrides = {name.lower(): mat for name, mat in section.scatter}
         net = standard_nested_mzi(**overrides)
-    else:
-        net = build_network(section.nodes, section.arms)
-    if section.blocks:  # every blocked site in one rebuild
-        net = apply_block(net, *section.blocks)
+        if section.blocks:  # every blocked site in one rebuild
+            net = apply_block(net, *section.blocks)
+        return net
+    # Blocked arms absorb from the one validation.  An arm whose own
+    # transmission is out of range keeps it, so build_network still reports it.
+    arms = section.arms
+    if section.blocks:
+        blocked = set(section.blocks)
+        arms = [
+            dataclasses.replace(a, transmission=0.0)
+            if a.label in blocked and 0.0 <= a.transmission <= 1.0
+            else a
+            for a in arms
+        ]
+    net = build_network(section.nodes, arms)
+    for site in section.blocks:  # an unknown site, after every network error
+        net.labeled_arm(site)
     return net
 
 

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from weaktrace import enumerate_paths, netgraph, relative_amplitudes, standard_nested_mzi, weakval
+from weaktrace import (
+    enumerate_paths,
+    netgraph,
+    relative_amplitudes,
+    scenario,
+    standard_nested_mzi,
+    weakval,
+)
 from weaktrace.netgraph import (
     BEAM_SPLITTER,
     DETECTOR,
@@ -44,11 +51,12 @@ def kernel_calls(monkeypatch, name):
 
 
 def build_calls(monkeypatch):
-    """Record each validation that ``netgraph`` itself runs: one per
-    ``standard_nested_mzi`` and one per edit (``apply_block``, ...)."""
+    """Record each network validation: one per ``standard_nested_mzi``, one
+    per edit (``apply_block``, ...) and one per custom scenario network."""
     calls = []
     real = netgraph.build_network
-    monkeypatch.setattr(netgraph, "build_network", lambda *a: calls.append(1) or real(*a))
+    for module in (netgraph, scenario):
+        monkeypatch.setattr(module, "build_network", lambda *a: calls.append(1) or real(*a))
     return calls
 
 

@@ -1,10 +1,22 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_calls
-from weaktrace import ModulationPlan, NoiseModel, SiteModulation
-from weaktrace.errors import NonUnitaryScatterError, SchemaError, UnknownLabelError
+from test_scenario_fuzz import DELETE, MUTATIONS, locations
+from weaktrace import ModulationPlan, NoiseModel, SiteModulation, scenario
+from weaktrace.errors import (
+    NetworkError,
+    NonUnitaryScatterError,
+    SchemaError,
+    UnknownLabelError,
+)
+from weaktrace.netgraph import NODE_KINDS, apply_block, build_network
+from weaktrace.reports import render_json
 from weaktrace.scenario import (
     BlockingExperiment,
     NetworkSection,
@@ -474,3 +486,229 @@ def test_scenario_doc_round_trip_every_kind(experiment, keys):
     doc = scenario_doc(sc)
     assert list(doc["experiment"]) == keys
     assert parse_scenario(json.dumps(doc)) == sc
+
+
+CUSTOM_MZI = json.loads(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "custom_mzi.json").read_text()
+)
+
+
+def blocked_custom_mzi(blocks, arm_changes=None) -> NetworkSection:
+    """The network of custom_mzi.json with ``blocks``, some arms updated."""
+    network = copy.deepcopy(CUSTOM_MZI["network"])
+    for i, changes in (arm_changes or {}).items():
+        network["arms"][i].update(changes)
+    network["blocks"] = blocks
+    return parse_scenario(json.dumps({"network": network})).network
+
+
+def test_custom_blocks_are_applied_in_one_build(monkeypatch):
+    section = blocked_custom_mzi(["X"])
+    calls = build_calls(monkeypatch)
+    net = build_scenario_network(section)
+    assert len(calls) == 1
+    assert [a.id for a in net.arms if a.transmission == 0.0] == ["upper"]
+    assert net == apply_block(build_network(section.nodes, section.arms), "X")
+
+
+def _error(call):
+    try:
+        call()
+    except NetworkError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "arm_changes, blocks",
+    [
+        ({}, ["Z"]),  # an unknown site
+        ({}, ["X", "Z", "Q"]),  # the first unknown site is named
+        ({0: {"to": ["NOPE", 0]}}, ["Z"]),  # a network error comes first
+        ({1: {"transmission": 2.0}}, ["X"]),  # so does a blocked arm's own range
+        ({3: {"label": "X"}}, ["X"]),  # and a site label on two arms
+    ],
+    ids=["unknown", "first-unknown", "network-first", "range-first", "duplicate-label"],
+)
+def test_custom_block_errors_match_build_then_block(arm_changes, blocks):
+    section = blocked_custom_mzi(blocks, arm_changes)
+    expected = _error(lambda: apply_block(build_network(section.nodes, section.arms), *blocks))
+    assert expected is not None
+    assert _error(lambda: build_scenario_network(section)) == expected
+
+
+def _outcome(text):
+    try:
+        return parse_scenario(text)
+    except SchemaError as err:
+        return err.path, str(err)
+
+
+def _irregular(items):
+    raise scenario._Irregular
+
+
+def read_both_ways(text):
+    """``text`` parsed with the column readers, which must agree with the
+    record readers alone: the same SchemaError path and message, or equal
+    Scenarios of equal repr (so no int is left where a float belongs)."""
+    by_columns = _outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_node_columns", _irregular)
+        mp.setattr(scenario, "_arm_columns", _irregular)
+        by_records = _outcome(text)
+    # compared without pytest's diff, which takes minutes on a 1000-mirror chain
+    agree = by_columns == by_records and repr(by_columns) == repr(by_records)
+    assert agree, "the column and record readers disagree"
+    return by_columns
+
+
+@st.composite
+def custom_networks(draw):
+    """Custom network documents of 1 to 40 nodes and arms, valid to the
+    parser (not necessarily to build_network)."""
+    count = st.integers(1, 40)
+    node_ids = [f"n{i}" for i in range(draw(count))]
+    phase = st.one_of(st.integers(-3, 3), st.floats(-7.0, 7.0))
+    nodes = []
+    for i, node_id in enumerate(node_ids):
+        node = {"id": node_id, "kind": draw(st.sampled_from(NODE_KINDS))}
+        if draw(st.booleans()):
+            node["scatter"] = [[0.6, {"re": 0.8, "im": 0}], [0.8, -0.6]]
+        if draw(st.booleans()):
+            node["label"] = f"N{i}"
+        nodes.append(node)
+    arms = []
+    for i in range(draw(count)):
+        arm = {
+            "id": f"a{i}",
+            "from": [draw(st.sampled_from(node_ids)), draw(st.integers(0, 1))],
+            "to": [draw(st.sampled_from(node_ids)), draw(st.integers(0, 1))],
+        }
+        for key, value in (
+            ("label", st.just(f"S{i}")),
+            ("phase", phase),
+            ("transmission", st.sampled_from([0, 1, 0.5])),
+            ("modulation", st.builds(lambda b: {"delta": 0.01, "bin": b}, st.integers(1, 9))),
+        ):
+            if draw(st.booleans()):
+                arm[key] = draw(value)
+        arms.append(arm)
+    return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
+
+
+KEEP = object()
+UNKNOWN_KEY = object()  # added to the record holding the location
+VALUES = (*MUTATIONS, KEEP, UNKNOWN_KEY, 10**400, ["n0"], ["n0", 0, 0], 3, 0.25, "mirror")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=custom_networks(), data=st.data())
+def test_column_and_record_readers_agree(doc, data):
+    sites = [loc for loc in locations(doc["network"]) if loc[0] in ("nodes", "arms")]
+    loc = data.draw(st.sampled_from(sites))
+    value = data.draw(st.sampled_from(VALUES))
+    parent = doc["network"]
+    for key in loc[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[loc[-1]]
+    elif value is UNKNOWN_KEY:
+        doc["network"][loc[0]][loc[1]]["colour"] = "red"
+    elif value is not KEEP:
+        parent[loc[-1]] = value
+    read_both_ways(json.dumps(doc))
+
+
+def _two_shapes(arm3, arm9):
+    """A custom network with twelve arms, the 4th and 10th updated."""
+    nodes = [{"id": "SRC", "kind": "source"}, {"id": "D", "kind": "detector", "label": "D"}]
+    arms = [
+        {"id": f"a{i}", "from": ["SRC", 0], "to": ["D", 0], "label": f"s{i}", "phase": 0.5}
+        if i % 2
+        else {"id": f"a{i}", "from": ["SRC", 0], "to": ["D", 0]}
+        for i in range(12)
+    ]
+    arms[3].update(arm3)
+    arms[9].update(arm9)
+    return json.dumps({"network": {"kind": "custom", "nodes": nodes, "arms": arms}})
+
+
+@pytest.mark.parametrize(
+    "arm3, arm9, path, message",
+    [
+        ({"colour": "red"}, {"from": ["SRC", True]}, "$.network.arms[3].colour", "unknown key"),
+        ({"colour": "red"}, {}, "$.network.arms[3].colour", "unknown key"),
+        ({}, {"from": ["SRC", True]}, "$.network.arms[9].from[1]", "expected an integer, got bool"),
+        ({"phase": 10**400}, {}, "$.network.arms[3].phase", "number must be finite"),
+        ({"to": ["D"]}, {}, "$.network.arms[3].to", "expected [node_id, port]"),
+        ({}, {"to": ["D", 0, 0]}, "$.network.arms[9].to", "expected [node_id, port]"),
+        ({"label": None}, {}, "$.network.arms[3].label", "expected a string, got NoneType"),
+        ({"transmission": float("nan")}, {}, "$.network.arms[3].transmission",
+         "number must be finite"),
+        ({"phase": 1e308}, {"phase": 1e308}, None, None),  # an infinite sum of finite phases
+        ({"phase": 2}, {"phase": -1.5}, None, None),
+    ],
+)
+def test_column_reader_errors_name_the_first_bad_value(arm3, arm9, path, message):
+    outcome = read_both_ways(_two_shapes(arm3, arm9))
+    if path is not None:
+        assert outcome == (path, f"{path}: {message}")
+
+
+def test_missing_required_key_is_named_by_the_record_reader():
+    doc = json.loads(_two_shapes({}, {}))
+    del doc["network"]["arms"][5]["to"]
+    assert read_both_ways(json.dumps(doc)) == (
+        "$.network.arms[5]", "$.network.arms[5]: missing required key 'to'"
+    )
+
+
+def test_valid_custom_network_is_read_by_columns_only(monkeypatch):
+    calls = []
+    for name in ("_node", "_arm"):
+        real = getattr(scenario, name)
+        monkeypatch.setattr(scenario, name, lambda v, real=real: calls.append(1) or real(v))
+    for doc in (CUSTOM_DARK_PORT, CUSTOM_MZI):
+        sc = parse_scenario(json.dumps(doc))
+        assert sc.network.arms[1].modulation is not None
+        assert sc.network.nodes[1].scatter is not None
+    assert calls == []
+
+
+def _mirror_chain(mirrors: int) -> dict:
+    """A balanced interferometer with ``mirrors`` mirrors on each arm."""
+    hadamard = [[0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]]
+    nodes = [
+        {"id": "SRC", "kind": "source"},
+        {"id": "J0", "kind": "beam_splitter", "scatter": hadamard},
+        {"id": "J1", "kind": "beam_splitter", "scatter": hadamard},
+        {"id": "D", "kind": "detector", "label": "D"},
+        {"id": "K", "kind": "sink"},
+    ]
+    arms = [{"id": "in", "from": ["SRC", 0], "to": ["J0", 0]}]
+    for port, side in enumerate("ud"):
+        prev = ["J0", port]
+        for m in range(mirrors):
+            nodes.append({"id": f"M{side}{m}", "kind": "mirror"})
+            arm = {"id": f"{side}{m}", "from": prev, "to": [f"M{side}{m}", 0]}
+            if m == 0:
+                arm["label"] = side
+            if m % 3:
+                arm["phase"] = m % 2 or 0.125 * m
+            arms.append(arm)
+            prev = [f"M{side}{m}", 0]
+        arms.append({"id": f"{side}_out", "from": prev, "to": ["J1", port]})
+    arms += [
+        {"id": "out", "from": ["J1", 0], "to": ["D", 0], "transmission": 0.5},
+        {"id": "dump", "from": ["J1", 1], "to": ["K", 0]},
+    ]
+    return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
+
+
+def test_mirror_chain_round_trip():
+    text = json.dumps(_mirror_chain(1000))
+    sc = parse_scenario(text)
+    assert len(sc.network.nodes) == 2005 and len(sc.network.arms) == 2005
+    assert parse_scenario(render_json(scenario_doc(sc))) == sc
+    assert read_both_ways(text) == sc
