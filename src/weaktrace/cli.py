@@ -39,7 +39,7 @@ from .weakval import (
     pointer_shift_exact,
     projector_weak_value,
     relative_amplitudes,
-    weak_values,
+    two_state,
 )
 
 # subcommand: (experiment kind, help text)
@@ -144,7 +144,7 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport, reports.Floats]]]:
         ens = enumerate_paths(net, exp.detector)
         alphas = relative_amplitudes(ens)
         sites = list(exp.sites) if exp.sites is not None else None
-        result = reports.weak_result(ens, alphas, weak_values(net, sites, ens.detector))
+        result = reports.weak_result(ens, alphas, two_state(net, sites, ens.detector))
 
     elif command == "pointer":
         amps = amplitude_split(net, exp.site, exp.detector)
@@ -172,6 +172,7 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport, reports.Floats]]]:
         spectral = [
             (f"{config.name}_", config.report, section["power"])
             for config, section in zip(suite.configs, result["configs"])
+            if config.report is not None
         ]
 
     return reports.envelope(command, doc, net, result), spectral

@@ -1,16 +1,28 @@
-"""Amplitude propagation and exhaustive path enumeration.
+"""Amplitude sweeps, the signature pass, and exhaustive path enumeration.
 
-One forward engine, route enumeration for the route tables of ``paths``
-and ``weak`` and as an oracle.  ``_forward`` pushes amplitudes through
-the network once, in topological order, keeping them per signature: the
-probed site labels a route has passed.  With no probed sites that is
-plain mode propagation (``propagate``, ``terminal_amplitudes``,
-``arm_input_amplitudes``); with probed sites it yields the summed
-amplitude of every signature class (``signature_amplitudes``), which is
-all the spectral readout and the weak values need.
-``enumerate_paths`` walks every source-to-detector route and assigns it
-the product of splitter entries and arm factors along the way.  For a
-valid network the summed path amplitudes reproduce the propagated ones.
+Three passes over a network's stored topological order serve different
+readers:
+
+- ``_sweep_forward`` carries one amplitude per port from the source:
+  ``propagate``, ``terminal_amplitudes`` and ``arm_input_amplitudes``,
+  and the forward state of the weak values.
+- ``_sweep_backward`` carries, per port, the amplitude that point sends on
+  to one detector, applying each splitter transposed.  With the forward
+  sweep it gives every site's two-state weak value
+  (``weakval.two_state``).
+- ``_forward`` keeps one amplitude per signature, the probed site labels
+  a route has passed, and so yields the summed amplitude of every
+  signature class (``signature_amplitudes``), which the spectral readout
+  needs.  With nothing probed it is the forward sweep bit for bit, and it
+  serves the tests as that sweep's oracle.
+
+A sweep costs one update per arm, so it needs no step bound.  The
+signature pass costs one per arm and class, which can double with every
+cascaded splitter, so it stops past ``MAX_ROUTE_STEPS`` updates.
+``enumerate_paths`` walks every source-to-detector route for the route
+tables of ``paths`` and ``weak`` and as an oracle, and assigns it the
+product of splitter entries and arm factors along the way.  For a valid
+network the summed path amplitudes reproduce the propagated ones.
 """
 
 from __future__ import annotations
@@ -113,15 +125,83 @@ def _forward(net: Network, probed=frozenset()):
     return in_amp, arm_in
 
 
-def _unprobed(amps: dict) -> complex:
-    """The amplitude of a map from a pass with no probed sites."""
-    return amps.get((), 0j)
+def _sweep_forward(net: Network):
+    """Propagate the unit source amplitude through every node, one scalar
+    per port: ``_forward`` with nothing probed, bit for bit.
+
+    Returns (fwd, arm_in): the amplitude arriving at each (node, input
+    port) that a route reaches, and the amplitude entering each arm
+    (before its own factor applies), 0j where no route enters it.  As in
+    ``_forward``, no route takes a zero splitter entry, and each sum is
+    taken in the same order, so signs of zero match too.
+    """
+    outgoing = net.outgoing()
+    fwd: dict[tuple[str, int], complex] = {}
+    arm_in: dict[str, complex] = {}
+    get = fwd.get
+    for node in net.topological_order():
+        kind = node.kind
+        if kind == MIRROR:  # the common case, kept free of the port loop below
+            arm = outgoing[(node.id, 0)]
+            amp = get((node.id, 0))
+            if amp is None:
+                arm_in[arm.id] = 0j
+            else:
+                arm_in[arm.id] = amp
+                fwd[(arm.to_node, arm.to_port)] = 0j + amp * arm.factor()
+            continue
+        if kind == BEAM_SPLITTER:
+            k0, k1 = (node.id, 0), (node.id, 1)
+            a0, a1 = get(k0, 0j), get(k1, 0j)
+            in0, in1 = k0 in fwd, k1 in fwd
+            outs = [
+                r0 * a0 + r1 * a1 if ((in0 or in1) if r0 and r1 else in0 if r0 else in1) else None
+                for r0, r1 in node.scatter
+            ]
+        elif kind == SOURCE:
+            outs = (1.0 + 0j,)
+        else:  # detectors and sinks end routes
+            continue
+        for port, amp in enumerate(outs):
+            arm = outgoing[(node.id, port)]
+            if amp is None:
+                arm_in[arm.id] = 0j
+            else:
+                arm_in[arm.id] = amp
+                fwd[(arm.to_node, arm.to_port)] = 0j + amp * arm.factor()
+    return fwd, arm_in
+
+
+def _sweep_backward(net: Network, detector: str) -> dict[tuple[str, int], complex]:
+    """The amplitude a unit amplitude at each point sends on to ``detector``.
+
+    Runs over the topological order reversed: each arm applies its factor
+    and each splitter its transpose.  Keyed by (node, input port); the
+    source, which has no input, is keyed by port 0, and its value is the
+    summed detection amplitude.
+    """
+    outgoing = net.outgoing()
+    bwd = {(detector, 0): 1.0 + 0j}
+    get = bwd.get
+    for node in reversed(net.topological_order()):
+        kind = node.kind
+        if kind == MIRROR or kind == SOURCE:
+            arm = outgoing[(node.id, 0)]
+            bwd[(node.id, 0)] = arm.factor() * get((arm.to_node, arm.to_port), 0j)
+        elif kind == BEAM_SPLITTER:
+            arm0, arm1 = outgoing[(node.id, 0)], outgoing[(node.id, 1)]
+            out0 = arm0.factor() * get((arm0.to_node, arm0.to_port), 0j)
+            out1 = arm1.factor() * get((arm1.to_node, arm1.to_port), 0j)
+            (s00, s01), (s10, s11) = node.scatter
+            bwd[(node.id, 0)] = s00 * out0 + s10 * out1
+            bwd[(node.id, 1)] = s01 * out0 + s11 * out1
+    return bwd
 
 
 def propagate(net: Network) -> dict[str, complex]:
     """Detection amplitude at every detector for a unit source emission."""
-    in_amp, _ = _forward(net)
-    return {d: _unprobed(in_amp.get((d, 0), {})) for d in net.detectors}
+    fwd, _ = _sweep_forward(net)
+    return {d: fwd.get((d, 0), 0j) for d in net.detectors}
 
 
 def terminal_amplitudes(net: Network) -> dict[str, complex]:
@@ -130,15 +210,13 @@ def terminal_amplitudes(net: Network) -> dict[str, complex]:
     The squared magnitudes sum to one for a lossless unblocked network,
     which makes this the natural probability-conservation check.
     """
-    in_amp, _ = _forward(net)
-    terminals = [n.id for n in net.nodes if n.kind in (DETECTOR, SINK)]
-    return {t: _unprobed(in_amp.get((t, 0), {})) for t in terminals}
+    fwd, _ = _sweep_forward(net)
+    return {n.id: fwd.get((n.id, 0), 0j) for n in net.nodes if n.kind in (DETECTOR, SINK)}
 
 
 def arm_input_amplitudes(net: Network) -> dict[str, complex]:
     """Amplitude entering each arm, keyed by arm id."""
-    _, arm_in = _forward(net)
-    return {arm: _unprobed(amps) for arm, amps in arm_in.items()}
+    return _sweep_forward(net)[1]
 
 
 def signature_amplitudes(net: Network, sites, detector: str | None = None) -> dict:
@@ -199,9 +277,14 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
     outgoing = net.outgoing()
     paths: list[Path] = []
 
-    # depth-first walk; each entry is a partial route arriving at a node:
-    # (node id, input port, amplitude, arm ids, site labels, blocked)
-    stack = [(net.source, 0, 1.0 + 0j, (), (), False)]
+    # depth-first walk that builds one route in place; each entry is a
+    # partial route arriving at a node: (lengths of the arm and site lists
+    # it extends, the arm it arrives by or None at the source, node id,
+    # input port, amplitude, blocked).  A route's tuples are made only at
+    # the detector, so it costs steps in proportion to its length.
+    arm_ids: list[str] = []
+    sites: list[str] = []
+    stack = [(0, 0, None, net.source, 0, 1.0 + 0j, False)]
     steps = 0
     while stack:
         steps += 1
@@ -210,14 +293,19 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
                 f"route enumeration passed {MAX_ROUTE_STEPS} steps "
                 f"with {len(paths)} routes found; the network has too many routes to list"
             )
-        node_id, in_port, amp, arms_so_far, sites_so_far, blocked = stack.pop()
+        n_arms, n_sites, arm, node_id, in_port, amp, blocked = stack.pop()
+        del arm_ids[n_arms:], sites[n_sites:]
+        if arm is not None:
+            arm_ids.append(arm.id)
+            if arm.label is not None:
+                sites.append(arm.label)
         node = nodes[node_id]
         if node.kind == DETECTOR:
             if node_id == target:
                 paths.append(
                     Path(
-                        arms=arms_so_far,
-                        sites=sites_so_far,
+                        arms=tuple(arm_ids),
+                        sites=tuple(sites),
                         amplitude=amp if not blocked else 0j,
                         blocked=blocked,
                     )
@@ -225,6 +313,7 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
             continue
         # pushed in reverse port order so output port 0 is explored first;
         # sinks have no output ports
+        n_arms, n_sites = len(arm_ids), len(sites)
         for port in reversed(range(OUT_PORTS[node.kind])):
             out_amp = amp  # sources and mirrors relay it unchanged
             if node.kind == BEAM_SPLITTER:
@@ -235,11 +324,12 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
             arm = outgoing[(node_id, port)]
             stack.append(
                 (
+                    n_arms,
+                    n_sites,
+                    arm,
                     arm.to_node,
                     arm.to_port,
                     out_amp * arm.factor(),
-                    arms_so_far + (arm.id,),
-                    sites_so_far + ((arm.label,) if arm.label is not None else ()),
                     blocked or arm.transmission == 0.0,
                 )
             )

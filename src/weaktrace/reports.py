@@ -44,10 +44,11 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import NonFiniteResultError
+from .errors import DegeneratePointerError, NonFiniteResultError
 from .netgraph import Network
 from .pathsum import PathEnsemble
 from .spectra import BlockingSuite, SpectralReport
+from .weakval import TwoState
 
 VERSION = "0.1.0"
 
@@ -353,7 +354,9 @@ def paths_result(ens: PathEnsemble, terminals: dict[str, complex]) -> dict:
     }
 
 
-def weak_result(ens: PathEnsemble, alphas, values: dict[str, complex]) -> dict:
+def weak_result(ens: PathEnsemble, alphas, state: TwoState) -> dict:
+    """The route table, and each site's weak value and the two states
+    behind it."""
     return {
         "detector": ens.detector,
         "total": ens.total,
@@ -366,7 +369,15 @@ def weak_result(ens: PathEnsemble, alphas, values: dict[str, complex]) -> dict:
             }
             for p, a in zip(ens.paths, np.asarray(alphas).tolist())
         ],
-        "weak_values": values,
+        "weak_values": state.weak_values(),
+        "two_state": {
+            site: {
+                "forward": state.forward[site],
+                "backward": state.backward[site],
+                "through": state.through[site],
+            }
+            for site in state.through
+        },
     }
 
 
@@ -416,12 +427,12 @@ def spectral_result(report: SpectralReport) -> dict:
 def blocking_result(suite: BlockingSuite) -> dict:
     configs = []
     for c in suite.configs:
-        doc = {
-            "name": c.name,
-            "blocked_site": c.blocked_site,
-            "static_probability": c.static_probability,
-        }
-        doc.update(spectral_result(c.report))
+        doc = {"name": c.name, "blocked_site": c.blocked_site}
+        if c.report is None:
+            doc.update(error=DegeneratePointerError.code, message=c.error)
+        else:
+            doc["static_probability"] = c.static_probability
+            doc.update(spectral_result(c.report))
         configs.append(doc)
     return {"configs": configs}
 

@@ -294,12 +294,17 @@ def run_spectral_experiment(
 
 @dataclass(frozen=True)
 class BlockingConfig:
-    """One arm-blocking counterfactual and its spectral outcome."""
+    """One arm-blocking counterfactual and its spectral outcome.
+
+    A configuration whose readout is degenerate has no report and no
+    static probability; ``error`` holds the readout's message instead.
+    """
 
     name: str
     blocked_site: str | None
-    static_probability: float
-    report: SpectralReport
+    static_probability: float | None
+    report: SpectralReport | None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -324,8 +329,9 @@ def run_blocking_suite(
 
     Each configuration records the static click probability alongside the
     spectral report, so presence of peaks can be compared against how
-    little the overall rate moved.  A degenerate readout raises
-    DegeneratePointerError naming its configuration.
+    little the overall rate moved.  A blocked configuration whose readout
+    is degenerate keeps its place in the suite with the error's message;
+    a degenerate baseline raises DegeneratePointerError naming it.
     """
     target = resolve_detector(net, detector)
     configs = []
@@ -335,7 +341,12 @@ def run_blocking_suite(
         try:
             report = run_spectral_experiment(net_c, plan, sigma, noise=None, detector=target)
         except DegeneratePointerError as exc:
-            raise DegeneratePointerError(f"configuration {name!r}: {exc}") from exc
+            if site is None:
+                raise DegeneratePointerError(f"configuration {name!r}: {exc}") from exc
+            configs.append(
+                BlockingConfig(name, site, static_probability=None, report=None, error=str(exc))
+            )
+            continue
         configs.append(
             BlockingConfig(
                 name=name,

@@ -1,8 +1,15 @@
-"""Weak values from summed amplitudes, and the Gaussian pointer.
+"""Weak values from two states, and the Gaussian pointer.
 
 With A1 the summed amplitude of the routes to a detector through a site
-and A0 that of the rest, both from one forward pass, the weak value of
-the projector onto the site is A1 / (A0 + A1).  Relative amplitudes of
+and A0 that of the rest, the weak value of the projector onto the site is
+A1 / (A0 + A1).  ``two_state`` takes A1 at every site from one forward
+and one backward sweep of ``pathsum``: the amplitude the source sends
+into the site's arm, times the arm's factor, times the amplitude the
+arm's end sends on to the detector.  The total is the backward amplitude
+at the source.  That is the two-state weak value <phi|P|psi> / <phi|psi>;
+summed route by route, it is the relative amplitude of the routes through
+the site.  ``amplitude_split`` gives (total - A1, A1); an A0 found by
+subtraction carries the rounding of the total.  Relative amplitudes of
 single routes, A_i / sum_j A_j, serve the per-route table of ``weak``.
 
 A Gaussian pointer of width sigma, displaced by its own amount on each
@@ -24,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pathsum
 from .errors import DegeneratePointerError, VanishingTotalError
 from .netgraph import Network
-from .pathsum import PathEnsemble, signature_amplitudes
+from .pathsum import PathEnsemble
 
 VANISHING_TOTAL_TOL = 1e-14
 # smallest post-selected rate (pointer norm) that still defines a mean
@@ -59,14 +67,62 @@ def relative_amplitudes(ens: PathEnsemble) -> np.ndarray:
     return np.array([p.amplitude / total for p in ens.paths], dtype=complex)
 
 
+@dataclass(frozen=True)
+class TwoState:
+    """The forward and backward states at each probed site, for one detector.
+
+    ``forward`` is the amplitude the source sends into the site's arm,
+    ``backward`` the amplitude the arm's end sends on to the detector, and
+    ``through`` their product with the arm's factor: A1, the summed
+    amplitude of the routes through the site.  ``total`` is the backward
+    amplitude at the source, the summed amplitude of every route.
+    """
+
+    total: complex
+    forward: dict[str, complex]
+    backward: dict[str, complex]
+    through: dict[str, complex]
+
+    def weak_values(self) -> dict[str, complex]:
+        """A1 / total at each site, normalised once.
+
+        Raises VanishingTotalError when the total (numerically) vanishes
+        and any site was probed.
+        """
+        if self.through:
+            _require_total(self.total)
+        return {site: a1 / self.total for site, a1 in self.through.items()}
+
+
+def two_state(net: Network, sites=None, detector: str | None = None) -> TwoState:
+    """Both states at every site from one forward and one backward sweep.
+
+    ``sites`` defaults to every labeled site in the network, sorted.  Raises
+    UnknownLabelError for an unknown site or detector before either sweep.
+    """
+    target = pathsum.resolve_detector(net, detector)
+    if sites is None:
+        sites = sorted(net.site_labels())
+    arms = {site: net.labeled_arm(site) for site in sites}
+    _, arm_in = pathsum._sweep_forward(net)
+    bwd = pathsum._sweep_backward(net, target)
+    forward = {site: arm_in[arm.id] for site, arm in arms.items()}
+    backward = {site: bwd.get((arm.to_node, arm.to_port), 0j) for site, arm in arms.items()}
+    through = {site: forward[site] * arm.factor() * backward[site] for site, arm in arms.items()}
+    return TwoState(bwd[(net.source, 0)], forward, backward, through)
+
+
 def amplitude_split(net: Network, site: str, detector: str | None = None):
     """(A0, A1): summed amplitudes of the routes to a detector that bypass
-    and that pass ``site``, from one forward pass probing only that site.
+    and that pass ``site``, in the two-state form (total - A1, A1).
 
-    Raises UnknownLabelError for an unknown site or detector.
+    A0 by subtraction carries the rounding of the total, so its relative
+    accuracy falls where |A0| is far below |A1|.  Raises UnknownLabelError
+    for an unknown site or detector.
     """
-    classes = signature_amplitudes(net, [site], detector)
-    return classes.get((), 0j), classes.get((site,), 0j)
+    state = two_state(net, [site], detector)
+    a1 = state.through[site]
+    return state.total - a1, a1
 
 
 def projector_weak_value(amps: tuple[complex, complex]) -> complex:
@@ -81,16 +137,14 @@ def projector_weak_value(amps: tuple[complex, complex]) -> complex:
 
 
 def weak_values(net: Network, sites=None, detector: str | None = None) -> dict[str, complex]:
-    """Projector weak values at one detector, one one-site pass per site.
+    """Projector weak values at one detector, every site from one forward
+    and one backward sweep (``two_state``).
 
     ``sites`` defaults to every labeled site in the network, sorted.  Every
     site is checked before any weak value is formed, so an unknown site
     raises UnknownLabelError even when the total vanishes.
     """
-    if sites is None:
-        sites = sorted(net.site_labels())
-    amps = {site: amplitude_split(net, site, detector) for site in sites}
-    return {site: projector_weak_value(pair) for site, pair in amps.items()}
+    return two_state(net, sites, detector).weak_values()
 
 
 def weak_observable(alphas, eigenvalues) -> complex:

@@ -7,6 +7,7 @@ import pytest
 from weaktrace import (
     enumerate_paths,
     netgraph,
+    pathsum,
     relative_amplitudes,
     scenario,
     standard_nested_mzi,
@@ -47,6 +48,16 @@ def kernel_calls(monkeypatch, name):
         return kernel(amps, disp, *order)
 
     monkeypatch.setattr(weakval, name, counted)
+    return calls
+
+
+def count_sweeps(monkeypatch):
+    """Record each scalar sweep of ``pathsum``, "forward" or "backward",
+    in call order."""
+    calls = []
+    for name in ("forward", "backward"):
+        real = getattr(pathsum, f"_sweep_{name}")
+        monkeypatch.setattr(pathsum, f"_sweep_{name}", lambda *a, n=name, f=real: calls.append(n) or f(*a))
     return calls
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_sweeps
 from weaktrace import cli, pathsum, reports, spectra, weakval
 from weaktrace.cli import main
 from weaktrace.errors import NetworkError, NonFiniteResultError
@@ -72,6 +73,21 @@ def test_weak_report(tmp_path, capsys):
     assert w["B"]["re"] == pytest.approx(-0.5, abs=1e-12)
     assert w["C"]["re"] == pytest.approx(1.0, abs=1e-12)
     assert abs(w["E"]["re"]) < 1e-12 and abs(w["F"]["re"]) < 1e-12
+    # after the weak values, the two states behind each: E is reached but
+    # sends nothing on to D, F the reverse
+    result = json.loads(out)["result"]
+    assert list(result)[-2:] == ["weak_values", "two_state"]
+    states = result["two_state"]
+    assert list(states) == list(w) == ["A", "B", "C", "E", "F"]
+    h = 0.7071067811865476
+    assert states["E"]["forward"]["re"] == pytest.approx(h, abs=1e-15)
+    assert states["E"]["backward"] == {"re": 0, "im": 0}
+    assert states["F"]["forward"] == {"re": 0, "im": 0}
+    assert states["F"]["backward"]["re"] == pytest.approx(h, abs=1e-15)
+    for site, s in states.items():
+        through = s["through"]["re"]
+        assert through == pytest.approx(s["forward"]["re"] * s["backward"]["re"], abs=1e-15)
+        assert w[site]["re"] == pytest.approx(through / result["total"]["re"], abs=1e-15)
 
 
 def test_pointer_report(tmp_path, capsys):
@@ -266,15 +282,40 @@ def test_degenerate_pointer_names_site_coupling_and_reading(tmp_path, capsys):
 
 
 def test_degenerate_blocking_configuration_is_named(tmp_path, capsys):
-    # blocking C leaves D dark at sample 0, where no probe displaces a route
+    # blocking C leaves D dark at sample 0, where no probe displaces a route;
+    # the baseline and block_E, computed before it, are still written
     doc = {"network": "standard", "experiment": {"kind": "blocking", "samples": 64}}
-    doc["experiment"]["block_sites"] = ["C"]
-    scn = write(tmp_path, "block_c.json", json.dumps(doc))
+    doc["experiment"]["block_sites"] = ["E", "C"]
+    scn = write(tmp_path, "block_ec.json", json.dumps(doc))
+    code, out, _ = run(capsys, ["block", scn, "--csv-dir", str(tmp_path / "csv")])
+    assert code == 0
+    configs = json.loads(out)["result"]["configs"]
+    assert configs[2] == {
+        "name": "block_C",
+        "blocked_site": "C",
+        "error": "degenerate_pointer",
+        "message": "post-selected rate dips to 0.000e+00 at reading 0, below 1e-14; "
+        "pointer mean is undefined there",
+    }
+    doc["experiment"]["block_sites"] = ["E"]
+    code, alone, _ = run(capsys, ["block", write(tmp_path, "block_e.json", json.dumps(doc))])
+    assert code == 0
+    assert configs[:2] == json.loads(alone)["result"]["configs"]
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
+        f"{name}_{kind}.csv" for name in ("baseline", "block_E") for kind in ("spectrum", "timeseries")
+    ]
+
+
+def test_degenerate_blocking_baseline_exits_4(tmp_path, capsys):
+    # with C blocked in the network itself, the baseline leaves D dark
+    doc = {"network": {"kind": "standard", "blocks": ["C"]}}
+    doc["experiment"] = {"kind": "blocking", "samples": 64, "block_sites": ["E"]}
+    scn = write(tmp_path, "dark_baseline.json", json.dumps(doc))
     code, out, err = run(capsys, ["block", scn])
     assert code == 4 and out == ""
     assert json.loads(err) == {
         "error": "degenerate_pointer",
-        "message": "configuration 'block_C': post-selected rate dips to 0.000e+00 "
+        "message": "configuration 'baseline': post-selected rate dips to 0.000e+00 "
         "at reading 0, below 1e-14; pointer mean is undefined there",
     }
 
@@ -665,16 +706,19 @@ def count_forward_passes(monkeypatch):
 
 
 def test_pointer_makes_one_forward_pass(capsys, monkeypatch):
+    # one forward and one backward sweep, and no signature pass
     def refuse(*args):
         raise AssertionError("pointer listed routes")
 
     monkeypatch.setattr(pathsum, "enumerate_paths", refuse)
     monkeypatch.setattr(cli, "enumerate_paths", refuse)
     calls = count_forward_passes(monkeypatch)
+    sweeps = count_sweeps(monkeypatch)
     code, out, _ = run(capsys, ["pointer", str(SCENARIOS / "pointer_site_b.json")])
     assert code == 0
     assert len(json.loads(out)["result"]["readings"]) == 3
-    assert len(calls) == 1
+    assert calls == []
+    assert sweeps == ["forward", "backward"]
 
 
 def test_block_makes_one_forward_pass_per_configuration(capsys, monkeypatch):
@@ -716,7 +760,8 @@ def test_duplicate_weak_site_is_schema_error(tmp_path, capsys):
     scn = write(tmp_path, "once.json", json.dumps(doc))
     code, out, _ = run(capsys, ["weak", scn])
     assert code == 0
-    assert list(json.loads(out)["result"]["weak_values"]) == ["A", "B"]
+    result = json.loads(out)["result"]
+    assert list(result["weak_values"]) == list(result["two_state"]) == ["A", "B"]
 
 
 def test_parser_is_built_once(tmp_path, capsys):

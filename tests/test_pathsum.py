@@ -22,6 +22,7 @@ from weaktrace.errors import TooManyRoutesError, UnknownLabelError
 from weaktrace.netgraph import (
     BEAM_SPLITTER,
     DETECTOR,
+    MIRROR,
     SINK,
     SOURCE,
     Arm,
@@ -238,6 +239,27 @@ def test_signature_classes_are_the_routes_grouped_by_sites():
     assert replaced > 100
 
 
+def test_sweeps_are_the_unprobed_signature_pass():
+    """The forward sweep is the signature pass with nothing probed, bit for
+    bit (repr pins signs of zero), absent couplings and unfed splitter
+    inputs included; the backward sweep's value at the source is the
+    amplitude the forward sweep brings to each detector."""
+    for seed in range(120):
+        net, _ = _with_absent_couplings(np.random.default_rng(5000 + seed))
+        in_amp, arm_in = pathsum._forward(net)
+        assert repr(arm_input_amplitudes(net)) == repr(
+            {arm: amps.get((), 0j) for arm, amps in arm_in.items()}
+        ), seed
+        terminals = {
+            n.id: in_amp.get((n.id, 0), {}).get((), 0j)
+            for n in net.nodes
+            if n.kind in (DETECTOR, SINK)
+        }
+        assert repr(terminal_amplitudes(net)) == repr(terminals), seed
+        for det, amp in propagate(net).items():
+            assert abs(pathsum._sweep_backward(net, det)[(net.source, 0)] - amp) < 1e-12, seed
+
+
 def test_route_enumeration_is_bounded(std_net, monkeypatch):
     # the standard network's walk takes 22 steps, sink arrivals included
     monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 22)
@@ -271,9 +293,42 @@ def test_propagation_is_the_unprobed_signature_pass(std_net):
 
 
 def test_propagation_is_bounded(std_net, monkeypatch):
-    # one map-entry update per arm the source reaches: 14 on the standard network
+    # a scalar sweep costs one update per arm, so only the signature pass
+    # counts steps: 14 map-entry updates with nothing probed
     monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 14)
-    assert len(arm_input_amplitudes(std_net)) == 14
-    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 13)
+    assert signature_amplitudes(std_net, []) == {(): propagate(std_net)["D"]}
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 0)
     with pytest.raises(TooManyRoutesError):
-        propagate(std_net)
+        signature_amplitudes(std_net, [])
+    assert len(arm_input_amplitudes(std_net)) == 14
+    assert abs(propagate(std_net)["D"] - 0.5) < 1e-15
+    assert len(terminal_amplitudes(std_net)) == 3
+
+
+def test_deep_routes_are_listed_in_chain_order():
+    # one interferometer with 5000 mirrors on each arm, far past the
+    # recursion limit; every 1000th arm of a chain carries a site label
+    depth = 5000
+    nodes = [Node("SRC", SOURCE), Node("D", DETECTOR), Node("K", SINK)]
+    nodes += [Node(j, BEAM_SPLITTER, scatter=hadamard()) for j in ("J0", "J1")]
+    arms = [Arm("in", "SRC", 0, "J0", 0), Arm("out", "J1", 0, "D", 0), Arm("dump", "J1", 1, "K", 0)]
+    chains = {}
+    for port in (0, 1):
+        chain = []
+        for i in range(depth + 1):
+            start = ("J0", port) if i == 0 else (f"M{port}_{i - 1}", 0)
+            end = ("J1", port) if i == depth else (f"M{port}_{i}", 0)
+            if i < depth:
+                nodes.append(Node(end[0], MIRROR))
+            label = f"s{port}_{i}" if i % 1000 == 0 else None
+            chain.append(Arm(f"a{port}_{i}", *start, *end, label=label, static_phase=1e-3 * i))
+        chains[port] = chain
+    net = build_network(nodes, arms + chains[1][::-1] + chains[0][::-1])
+    ens = enumerate_paths(net)
+    assert [p.arms for p in ens.paths] == [
+        ("in", *(a.id for a in chains[port]), "out") for port in (0, 1)
+    ]
+    assert [p.sites for p in ens.paths] == [
+        tuple(f"s{port}_{i}" for i in range(0, depth + 1, 1000)) for port in (0, 1)
+    ]
+    assert abs(ens.total - propagate(net)["D"]) < 1e-12

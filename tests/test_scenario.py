@@ -614,7 +614,8 @@ def test_column_and_record_readers_agree(doc, data):
     if value is DELETE:
         del parent[loc[-1]]
     elif value is UNKNOWN_KEY:
-        doc["network"][loc[0]][loc[1]]["colour"] = "red"
+        # a location may be a whole list; its first record takes the key
+        doc["network"][loc[0]][loc[1] if len(loc) > 1 else 0]["colour"] = "red"
     elif value is not KEEP:
         parent[loc[-1]] = value
     read_both_ways(json.dumps(doc))

@@ -695,9 +695,15 @@ def test_blocking_suite_config_refuses_an_unknown_name(std_net):
 
 
 def test_degenerate_configuration_is_named(std_net):
-    # blocking C leaves D dark at sample 0, where no probe displaces a route
-    with pytest.raises(DegeneratePointerError, match=r"^configuration 'block_C': post-selected"):
-        run_blocking_suite(std_net, default_plan(0.01, samples=64), block_sites=("E", "C"))
+    # blocking C leaves D dark at sample 0, where no probe displaces a route;
+    # that configuration keeps its place, with the readout's message
+    suite = run_blocking_suite(std_net, default_plan(0.01, samples=64), block_sites=("E", "C"))
+    assert [c.name for c in suite.configs] == ["baseline", "block_E", "block_C"]
+    dark = suite.config("block_C")
+    assert (dark.report, dark.static_probability) == (None, None)
+    assert dark.error.startswith("post-selected rate dips to 0.000e+00 at reading 0")
+    assert suite.config("block_E").report is not None
+    assert suite.config("block_E").error is None
     # the dark-port interferometer's detector is dark before anything is blocked
     plan = ModulationPlan(sites=(SiteModulation("X", 0.01, 13),), samples=64)
     with pytest.raises(DegeneratePointerError, match=r"^configuration 'baseline': post-selected"):

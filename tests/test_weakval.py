@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_sweeps,
     kernel_calls,
     path_by_sites,
     route_amplitude_split,
@@ -26,6 +27,7 @@ from weaktrace import (
     random_layered_network,
     relative_amplitudes,
     reports,
+    signature_amplitudes,
     weak_observable,
     weak_values,
     weakval,
@@ -73,17 +75,29 @@ def test_weak_values_partition_sums(std_net):
 
 
 def test_weak_values_normalise_once(std_net, monkeypatch):
-    # each site's weak value is normalised once, by the total of its own
-    # one-site pass; no route is listed or normalised
-    calls = []
-    real = pathsum._forward
-    monkeypatch.setattr(pathsum, "_forward", lambda *a: calls.append(a[1]) or real(*a))
+    # every weak value is A1 over the one total of the two sweeps; no route
+    # is listed or normalised
     monkeypatch.setattr(weakval, "relative_amplitudes", None)
     w = weak_values(std_net)
-    assert calls == [frozenset(s) for s in "ABCEF"]
-    assert w == {s: projector_weak_value(amplitude_split(std_net, s)) for s in "ABCEF"}
+    state = weakval.two_state(std_net)
+    assert w == {s: state.through[s] / state.total for s in "ABCEF"}
     with pytest.raises(UnknownLabelError):
         weak_values(std_net, ["A", "Q"])
+
+
+def test_weak_values_and_pointer_make_two_sweeps(std_net, monkeypatch):
+    # one forward and one backward sweep for every site, and no signature pass
+    def refuse(*args):
+        raise AssertionError("a signature pass ran")
+
+    monkeypatch.setattr(pathsum, "_forward", refuse)
+    sweeps = count_sweeps(monkeypatch)
+    assert len(weak_values(std_net)) == 5
+    assert sweeps == ["forward", "backward"]
+    sweeps.clear()
+    model = PointerModel(site="B", sigma=1.0, coupling=0.125)
+    pointer_shift_exact(amplitude_split(std_net, "B"), model)
+    assert sweeps == ["forward", "backward"]
 
 
 def test_unknown_site(std_net):
@@ -277,6 +291,10 @@ def test_one_site_passes_match_the_route_sum_on_random_networks():
             w = weak_values(net, detector=det)
             for site in sorted(net.site_labels()):
                 assert abs(w[site] - route_weak_value(ens, site)) < 1e-12, (seed, det, site)
+                # the one-site signature pass
+                classes = signature_amplitudes(net, [site], det)
+                one_site = classes.get((site,), 0j) / sum(classes.values())
+                assert abs(w[site] - one_site) < 1e-12, (seed, det, site)
                 # the two-state product fwd * factor * bwd over bwd at the source
                 a1, total = two_state_split(net, site, det)
                 assert abs(total - ens.total) < 1e-12, (seed, det)
