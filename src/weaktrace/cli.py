@@ -39,7 +39,7 @@ from .weakval import (
     pointer_shift_exact,
     projector_weak_value,
     relative_amplitudes,
-    two_state,
+    weak_values,
 )
 
 # subcommand: (experiment kind, help text)
@@ -144,7 +144,9 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport, reports.Floats]]]:
         ens = enumerate_paths(net, exp.detector)
         alphas = relative_amplitudes(ens)
         sites = list(exp.sites) if exp.sites is not None else None
-        result = reports.weak_result(ens, alphas, two_state(net, sites, ens.detector))
+        states: dict = {}
+        values = weak_values(net, sites, ens.detector, states)
+        result = reports.weak_result(ens, alphas, values, states)
 
     elif command == "pointer":
         amps = amplitude_split(net, exp.site, exp.detector)

@@ -9,7 +9,7 @@ readers:
 - ``_sweep_backward`` carries, per port, the amplitude that point sends on
   to one detector, applying each splitter transposed.  With the forward
   sweep it gives every site's two-state weak value
-  (``weakval.two_state``).
+  (``weakval.weak_values``) and the split of ``weakval.amplitude_split``.
 - ``_forward`` keeps one amplitude per signature, the probed site labels
   a route has passed, and so yields the summed amplitude of every
   signature class (``signature_amplitudes``), which the spectral readout
@@ -141,16 +141,9 @@ def _sweep_forward(net: Network):
     get = fwd.get
     for node in net.topological_order():
         kind = node.kind
-        if kind == MIRROR:  # the common case, kept free of the port loop below
-            arm = outgoing[(node.id, 0)]
-            amp = get((node.id, 0))
-            if amp is None:
-                arm_in[arm.id] = 0j
-            else:
-                arm_in[arm.id] = amp
-                fwd[(arm.to_node, arm.to_port)] = 0j + amp * arm.factor()
-            continue
-        if kind == BEAM_SPLITTER:
+        if kind == MIRROR:
+            outs = (get((node.id, 0)),)
+        elif kind == BEAM_SPLITTER:
             k0, k1 = (node.id, 0), (node.id, 1)
             a0, a1 = get(k0, 0j), get(k1, 0j)
             in0, in1 = k0 in fwd, k1 in fwd

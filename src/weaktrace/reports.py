@@ -48,7 +48,6 @@ from .errors import DegeneratePointerError, NonFiniteResultError
 from .netgraph import Network
 from .pathsum import PathEnsemble
 from .spectra import BlockingSuite, SpectralReport
-from .weakval import TwoState
 
 VERSION = "0.1.0"
 
@@ -354,7 +353,7 @@ def paths_result(ens: PathEnsemble, terminals: dict[str, complex]) -> dict:
     }
 
 
-def weak_result(ens: PathEnsemble, alphas, state: TwoState) -> dict:
+def weak_result(ens: PathEnsemble, alphas, values: dict[str, complex], states: dict) -> dict:
     """The route table, and each site's weak value and the two states
     behind it."""
     return {
@@ -369,15 +368,8 @@ def weak_result(ens: PathEnsemble, alphas, state: TwoState) -> dict:
             }
             for p, a in zip(ens.paths, np.asarray(alphas).tolist())
         ],
-        "weak_values": state.weak_values(),
-        "two_state": {
-            site: {
-                "forward": state.forward[site],
-                "backward": state.backward[site],
-                "through": state.through[site],
-            }
-            for site in state.through
-        },
+        "weak_values": values,
+        "two_state": states,
     }
 
 

@@ -2,7 +2,7 @@
 
 With A1 the summed amplitude of the routes to a detector through a site
 and A0 that of the rest, the weak value of the projector onto the site is
-A1 / (A0 + A1).  ``two_state`` takes A1 at every site from one forward
+A1 / (A0 + A1).  ``weak_values`` takes A1 at every site from one forward
 and one backward sweep of ``pathsum``: the amplitude the source sends
 into the site's arm, times the arm's factor, times the amplitude the
 arm's end sends on to the detector.  The total is the backward amplitude
@@ -67,38 +67,17 @@ def relative_amplitudes(ens: PathEnsemble) -> np.ndarray:
     return np.array([p.amplitude / total for p in ens.paths], dtype=complex)
 
 
-@dataclass(frozen=True)
-class TwoState:
-    """The forward and backward states at each probed site, for one detector.
+def _two_state(net: Network, sites=None, detector: str | None = None):
+    """(total, states) from one forward and one backward sweep.
 
-    ``forward`` is the amplitude the source sends into the site's arm,
-    ``backward`` the amplitude the arm's end sends on to the detector, and
-    ``through`` their product with the arm's factor: A1, the summed
-    amplitude of the routes through the site.  ``total`` is the backward
-    amplitude at the source, the summed amplitude of every route.
-    """
-
-    total: complex
-    forward: dict[str, complex]
-    backward: dict[str, complex]
-    through: dict[str, complex]
-
-    def weak_values(self) -> dict[str, complex]:
-        """A1 / total at each site, normalised once.
-
-        Raises VanishingTotalError when the total (numerically) vanishes
-        and any site was probed.
-        """
-        if self.through:
-            _require_total(self.total)
-        return {site: a1 / self.total for site, a1 in self.through.items()}
-
-
-def two_state(net: Network, sites=None, detector: str | None = None) -> TwoState:
-    """Both states at every site from one forward and one backward sweep.
-
-    ``sites`` defaults to every labeled site in the network, sorted.  Raises
-    UnknownLabelError for an unknown site or detector before either sweep.
+    ``states`` maps each site to its "forward" amplitude, the one the
+    source sends into the site's arm, its "backward" amplitude, the one the
+    arm's end sends on to the detector, and "through", their product with
+    the arm's factor: A1, the summed amplitude of the routes through the
+    site.  ``total`` is the backward amplitude at the source, the summed
+    amplitude of every route.  ``sites`` defaults to every labeled site in
+    the network, sorted.  Raises UnknownLabelError for an unknown site or
+    detector before either sweep.
     """
     target = pathsum.resolve_detector(net, detector)
     if sites is None:
@@ -106,10 +85,13 @@ def two_state(net: Network, sites=None, detector: str | None = None) -> TwoState
     arms = {site: net.labeled_arm(site) for site in sites}
     _, arm_in = pathsum._sweep_forward(net)
     bwd = pathsum._sweep_backward(net, target)
-    forward = {site: arm_in[arm.id] for site, arm in arms.items()}
-    backward = {site: bwd.get((arm.to_node, arm.to_port), 0j) for site, arm in arms.items()}
-    through = {site: forward[site] * arm.factor() * backward[site] for site, arm in arms.items()}
-    return TwoState(bwd[(net.source, 0)], forward, backward, through)
+    states = {}
+    for site, arm in arms.items():
+        forward = arm_in[arm.id]
+        backward = bwd.get((arm.to_node, arm.to_port), 0j)
+        through = forward * arm.factor() * backward
+        states[site] = {"forward": forward, "backward": backward, "through": through}
+    return bwd[(net.source, 0)], states
 
 
 def amplitude_split(net: Network, site: str, detector: str | None = None):
@@ -120,9 +102,9 @@ def amplitude_split(net: Network, site: str, detector: str | None = None):
     accuracy falls where |A0| is far below |A1|.  Raises UnknownLabelError
     for an unknown site or detector.
     """
-    state = two_state(net, [site], detector)
-    a1 = state.through[site]
-    return state.total - a1, a1
+    total, states = _two_state(net, [site], detector)
+    a1 = states[site]["through"]
+    return total - a1, a1
 
 
 def projector_weak_value(amps: tuple[complex, complex]) -> complex:
@@ -136,15 +118,25 @@ def projector_weak_value(amps: tuple[complex, complex]) -> complex:
     return complex(a1 / total)
 
 
-def weak_values(net: Network, sites=None, detector: str | None = None) -> dict[str, complex]:
-    """Projector weak values at one detector, every site from one forward
-    and one backward sweep (``two_state``).
+def weak_values(
+    net: Network, sites=None, detector: str | None = None, states: dict | None = None
+) -> dict[str, complex]:
+    """Projector weak values A1 / total at one detector, every site from one
+    forward and one backward sweep.
 
     ``sites`` defaults to every labeled site in the network, sorted.  Every
     site is checked before any weak value is formed, so an unknown site
-    raises UnknownLabelError even when the total vanishes.
+    raises UnknownLabelError even when the total vanishes; a vanishing
+    total raises VanishingTotalError when any site is asked for.  A dict
+    passed as ``states`` receives the two states behind each weak value,
+    {site: {"forward", "backward", "through"}}, as ``weak`` reports them.
     """
-    return two_state(net, sites, detector).weak_values()
+    total, found = _two_state(net, sites, detector)
+    if states is not None:
+        states.update(found)
+    if found:
+        _require_total(total)
+    return {site: state["through"] / total for site, state in found.items()}
 
 
 def weak_observable(alphas, eigenvalues) -> complex:

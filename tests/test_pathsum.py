@@ -297,9 +297,10 @@ def test_propagation_is_bounded(std_net, monkeypatch):
     # counts steps: 14 map-entry updates with nothing probed
     monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 14)
     assert signature_amplitudes(std_net, []) == {(): propagate(std_net)["D"]}
-    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 0)
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 13)
     with pytest.raises(TooManyRoutesError):
         signature_amplitudes(std_net, [])
+    monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 0)
     assert len(arm_input_amplitudes(std_net)) == 14
     assert abs(propagate(std_net)["D"] - 0.5) < 1e-15
     assert len(terminal_amplitudes(std_net)) == 3

@@ -78,9 +78,11 @@ def test_weak_values_normalise_once(std_net, monkeypatch):
     # every weak value is A1 over the one total of the two sweeps; no route
     # is listed or normalised
     monkeypatch.setattr(weakval, "relative_amplitudes", None)
-    w = weak_values(std_net)
-    state = weakval.two_state(std_net)
-    assert w == {s: state.through[s] / state.total for s in "ABCEF"}
+    states = {}
+    w = weak_values(std_net, states=states)
+    total, found = weakval._two_state(std_net)
+    assert states == found
+    assert w == {s: found[s]["through"] / total for s in "ABCEF"}
     with pytest.raises(UnknownLabelError):
         weak_values(std_net, ["A", "Q"])
 
