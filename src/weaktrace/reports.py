@@ -29,9 +29,11 @@ key with ``TypeError``; either names the first bad value in document
 order.  When a column's check fails, the run is rendered again value by
 value, which raises at the first bad value that order meets.  A
 spectrum's power, a ``Floats`` in its report, and a whole CSV table are
-each checked with one array-wide ``np.isfinite`` test and written with
-one ``%`` call on a template that repeats ``FLOAT_FORMAT``, so the JSON
-report and ``spectrum.csv`` share one formatting of the power.
+each checked with one array-wide ``np.isfinite`` test before any text is
+made.  They are then written by ``_floattext.join_floats``, which gives
+the text of ``FLOAT_FORMAT`` byte for byte from numpy array steps; that
+module says why the text is exact.  The JSON report and ``spectrum.csv``
+share one formatting of the power.
 """
 
 from __future__ import annotations
@@ -44,14 +46,13 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
+from ._floattext import FLOAT_FORMAT, join_floats
 from .errors import DegeneratePointerError, NonFiniteResultError
 from .netgraph import Network
 from .pathsum import PathEnsemble
 from .spectra import BlockingSuite, SpectralReport
 
 VERSION = "0.1.0"
-
-FLOAT_FORMAT = "%.17g"
 
 # the C encoder behind json.dumps(str, ensure_ascii=True)
 _encode_str = json.encoder.encode_basestring_ascii
@@ -70,7 +71,7 @@ class Floats(tuple):
     @functools.cached_property
     def text(self) -> str:
         """Every value in ``FLOAT_FORMAT``, joined by ", " as in a JSON array."""
-        return _fmt_floats(np.array(self), ", ".join([FLOAT_FORMAT] * len(self)))
+        return _fmt_floats(np.array(self), ", ", "")
 
 
 class _ColumnCheckFailed(Exception):
@@ -87,12 +88,14 @@ def _fmt_float(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
-def _fmt_floats(values: np.ndarray, template: str) -> str:
-    """``template`` filled with every float of ``values`` in C order."""
+def _fmt_floats(values: np.ndarray, sep: str, end: str) -> str:
+    """Every float of ``values`` in ``FLOAT_FORMAT``, in C order: the values
+    of each row (the last axis) joined by ``sep``, each row followed by
+    ``end``."""
     finite = np.isfinite(values)
     if not finite.all():
         raise _non_finite(values[~finite][0])
-    return template % tuple(values.ravel().tolist())
+    return join_floats(values, sep, end)
 
 
 def _render(value, indent: int) -> str:
@@ -436,8 +439,7 @@ def _csv(header: str, *columns) -> str:
         [np.arange(n, dtype=float)] + [np.asarray(c, dtype=float) for c in columns]
     )
     # "%.17g" writes every index below 2**53 as its integer digits
-    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
-    return header + "\n" + _fmt_floats(table, row * n)
+    return header + "\n" + _fmt_floats(table, ",", "\n")
 
 
 def timeseries_csv(xbar, rate) -> str:

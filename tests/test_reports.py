@@ -460,9 +460,9 @@ def test_power_is_formatted_once_per_cli_call(tmp_path, capsys, monkeypatch):
         powers.append(np.array(report.power))
         return spectral_result(report)
 
-    def spy_fmt(values, template):
+    def spy_fmt(values, sep, end):
         formatted.append(np.array(values))
-        return fmt_floats(values, template)
+        return fmt_floats(values, sep, end)
 
     monkeypatch.setattr(reports, "spectral_result", spy_result)
     monkeypatch.setattr(reports, "_fmt_floats", spy_fmt)
