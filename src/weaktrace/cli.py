@@ -30,7 +30,7 @@ from .scenario import (
     build_scenario_network,
     default_experiment,
     parse_scenario,
-    scenario_doc,
+    scenario_echo,
 )
 from .spectra import SpectralReport, run_blocking_suite, run_spectral_experiment
 from .weakval import (
@@ -128,12 +128,12 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport, reports.Floats]]]:
             "valid": True,
             "arm_input_amplitudes": {a.id: arm_amp[a.id] for a in net.arms},
         }
-        return reports.envelope(command, scenario_doc(scenario), net, result), []
+        return reports.envelope(command, scenario_echo(scenario), net, result), []
 
     exp = _resolve_experiment(scenario, command, args)
     scenario = dataclasses.replace(scenario, experiment=exp)
     net = build_scenario_network(scenario.network)
-    doc = scenario_doc(scenario)
+    doc = scenario_echo(scenario)
     spectral: list[tuple[str, SpectralReport, reports.Floats]] = []
 
     if command == "paths":

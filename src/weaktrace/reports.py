@@ -8,16 +8,15 @@ Identical inputs therefore produce byte-identical documents.
 
 Repeated records are rendered one column at a time.  A run is a list or
 a dict of at least ``_MIN_RUN`` values of one type, dict, list or
-complex: the echoed nodes and arms, the route tables, ``weak_values`` and
-``arm_input_amplitudes``.  Smaller or mixed containers are cheaper value
-by value.  The dicts of a run are grouped by key tuple, and each key's
-values form a column that is checked and formatted in one pass: strings
-are encoded by one mapped call, a float column gets one finiteness check
-and a ``FLOAT_FORMAT`` slot, exact ints a ``%d`` slot, complex numbers a
-``re`` and an ``im`` column, nested records and fixed-length lists (an
-arm's ``[node, port]``, a 2x2 scatter matrix) are split into their own
-columns, and variable-length string lists (a route's ``arms``) are
-joined item by item.  One ``%`` template per record shape and indent
+complex: the route tables, ``weak_values`` and ``arm_input_amplitudes``.
+Smaller or mixed containers are cheaper value by value.  The dicts of a
+run are grouped by key tuple, and each key's values form a column that is
+checked and formatted in one pass: strings are encoded by one mapped
+call, a float column gets one finiteness check and a ``FLOAT_FORMAT``
+slot, exact ints a ``%d`` slot, complex numbers a ``re`` and an ``im``
+column, nested records and fixed-length lists (a 2x2 matrix) are split
+into their own columns, and variable-length string lists (a route's
+``arms``) are joined item by item.  One ``%`` template per record shape and indent
 describes a record; the templates of a run, in item order, are filled by
 one ``%`` call.  Anything else -- a one-item column, numpy scalars,
 subclasses of built-in types, ``None``, columns of mixed kinds -- is
@@ -28,12 +27,18 @@ NaN and inf are refused with ``NonFiniteResultError``, and a non-string
 key with ``TypeError``; either names the first bad value in document
 order.  When a column's check fails, the run is rendered again value by
 value, which raises at the first bad value that order meets.  A
-spectrum's power, a ``Floats`` in its report, and a whole CSV table are
-each checked with one array-wide ``np.isfinite`` test before any text is
-made.  They are then written by ``_floattext.join_floats``, which gives
-the text of ``FLOAT_FORMAT`` byte for byte from numpy array steps; that
-module says why the text is exact.  The JSON report and ``spectrum.csv``
-share one formatting of the power.
+spectrum's power, a ``Floats`` in its report, is checked with one
+array-wide ``np.isfinite`` test before any text is made, and a CSV table
+likewise one chunk of rows at a time.  They are then written by
+``_floattext.join_floats``, which gives the text of ``FLOAT_FORMAT`` byte
+for byte from numpy array steps; that module says why the text is exact.
+The JSON report and ``spectrum.csv`` share one formatting of the power.
+A CSV file's text grows from its header by a chunk of rows at a time, so
+little is held beyond it.
+
+A ``Rendered`` value is JSON text made before ``render_json`` meets it,
+which only indents it: a report's echo of a custom network's nodes and
+arms, written from the parsed records by ``scenario.scenario_echo``.
 """
 
 from __future__ import annotations
@@ -72,6 +77,17 @@ class Floats(tuple):
     def text(self) -> str:
         """Every value in ``FLOAT_FORMAT``, joined by ", " as in a JSON array."""
         return _fmt_floats(np.array(self), ", ", "")
+
+
+class Rendered:
+    """JSON text made before ``render_json``, laid out as a value at indent 0;
+    ``render_json`` indents it to where it lands.  A report echoes a custom
+    network's nodes and arms this way (``scenario.scenario_echo``)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 class _ColumnCheckFailed(Exception):
@@ -138,6 +154,9 @@ def _render(value, indent: int) -> str:
         return _complex_template(indent) % (value.real, value.imag)
     if kind is Floats:
         return "[" + value.text + "]"
+    if kind is Rendered:
+        # an encoded string holds no newline, so each newline starts a line
+        return value.text.replace("\n", "\n" + "  " * indent) if indent else value.text
     return _render(_builtin(value), indent)
 
 
@@ -145,7 +164,8 @@ def _lines(opening: str, items, closing: str, indent: int) -> str:
     """``items`` one per line at ``indent + 1``, between ``opening`` and
     ``closing``."""
     inner = "\n" + "  " * (indent + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + "  " * indent + closing
+    # one copy of the joined items, which may be long
+    return f"{opening}{inner}{(',' + inner).join(items)}\n{'  ' * indent}{closing}"
 
 
 # the item types that make a run, and the fewest items that pay for the
@@ -432,18 +452,37 @@ def blocking_result(suite: BlockingSuite) -> dict:
     return {"configs": configs}
 
 
+# the rows of a CSV file made at once: its text grows by one chunk of rows
+# at a time, and only that chunk is held apart from it
+_CSV_CHUNK = 2**14
+
+
 def _csv(header: str, *columns) -> str:
     """The header, then one row per index: the index and each column's float."""
-    n = len(columns[0])
-    table = np.column_stack(
-        [np.arange(n, dtype=float)] + [np.asarray(c, dtype=float) for c in columns]
-    )
-    # "%.17g" writes every index below 2**53 as its integer digits
-    return header + "\n" + _fmt_floats(table, ",", "\n")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    text = header + "\n"
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        chunk = [c[lo : lo + _CSV_CHUNK] for c in columns]
+        index = np.arange(lo, lo + len(chunk[0]), dtype=float)
+        # "%.17g" writes every index below 2**53 as its integer digits; the
+        # first bad value of a later chunk raises as it would from the whole table
+        text += _fmt_floats(np.column_stack([index, *chunk]), ",", "\n")
+    return text
 
 
 def timeseries_csv(xbar, rate) -> str:
     return _csv("k,xbar,rate", xbar, rate)
+
+
+def _split_chunks(text: str, sep: str, size: int):
+    """``text`` split at every ``sep``, one list per stretch of about
+    ``size`` characters that ends at a separator."""
+    start = 0
+    while start < len(text):
+        stop = text.find(sep, start + size)
+        stop = len(text) if stop < 0 else stop
+        yield text[start:stop].split(sep)
+        start = stop + len(sep)
 
 
 def spectrum_csv(power) -> str:
@@ -451,6 +490,12 @@ def spectrum_csv(power) -> str:
     JSON report has already made."""
     if type(power) is not Floats:
         power = Floats(np.asarray(power, dtype=float).tolist())
-    n = len(power)
-    strings = power.text.split(", ") if n else []
-    return "bin,power\n" + ("%d,%s\n" * n) % tuple(chain.from_iterable(zip(range(n), strings)))
+    text, k = "bin,power\n", 0
+    # about _CSV_CHUNK bins at a time, from the longest text a value can have;
+    # appending to the one reference resizes the text in place (in a for loop:
+    # from a while loop's body, CPython 3.11 copied the text on every append)
+    for values in _split_chunks(power.text, ", ", 24 * _CSV_CHUNK):
+        rows = chain.from_iterable(zip(range(k, k + len(values)), values))
+        text += ("%d,%s\n" * len(values)) % tuple(rows)
+        k += len(values)
+    return text

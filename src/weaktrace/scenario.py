@@ -16,7 +16,11 @@ Semantic problems that need the assembled graph (non-unitary scatter,
 cycles, unknown site labels) are deferred to network construction.
 
 ``parse_scenario`` fills every default, and ``scenario_doc`` renders a
-Scenario back to a plain document, so parse(render(s)) == s.
+Scenario back to a plain document, so parse(render(s)) == s: a record's
+optional keys are left out at their defaults.  A report echoes the
+scenario through ``scenario_echo``, which writes a custom network's nodes
+and arms as JSON text straight from the records, the same bytes that
+``reports.render_json`` makes of ``scenario_doc``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 
+from ._floattext import FLOAT_FORMAT
 from .errors import SchemaError, UnknownLabelError
 from .netgraph import (
     NODE_KINDS,
@@ -39,6 +45,7 @@ from .netgraph import (
     build_network,
     standard_nested_mzi,
 )
+from .reports import Rendered, _complex_template, _encode_str, _lines, _record_template
 from .spectra import (
     DEFAULT_SAMPLES,
     MAX_SAMPLES,
@@ -587,36 +594,150 @@ def _matrix_doc(mat: Matrix2):
     return [[_complex_doc(mat[i][j]) for j in range(2)] for i in range(2)]
 
 
-def _network_doc(section: NetworkSection) -> dict:
+# A record's shape holds one bit per optional key of its echo, the keys
+# after the required ones in _NODE_KEYS and _ARM_KEYS, in that order: the
+# bit is set when the echo writes the key.  A key is left out at the
+# default that parsing fills in, so parsing an echo gives the record back.
+# The plain documents and the text writer both take their shapes and their
+# key order from here.
+
+
+def _node_shapes(nodes) -> list[int]:
+    """Bits: scatter, label."""
+    return [(n.scatter is not None) | (n.label is not None) << 1 for n in nodes]
+
+
+def _arm_shapes(arms) -> list[int]:
+    """Bits: label, phase (left out at 0.0 and -0.0), transmission, modulation."""
+    return [
+        (a.label is not None)
+        | (a.static_phase != 0.0) << 1
+        | (a.transmission != 1.0) << 2
+        | (a.modulation is not None) << 3
+        for a in arms
+    ]
+
+
+def _shape_keys(keys: tuple[str, ...], required: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The keys an echo writes, for each shape."""
+    optional = keys[len(required) :]
+    return [
+        required + tuple(k for i, k in enumerate(optional) if shape >> i & 1)
+        for shape in range(1 << len(optional))
+    ]
+
+
+_NODE_SHAPE_KEYS = _shape_keys(_NODE_KEYS, _NODE_REQUIRED)
+_ARM_SHAPE_KEYS = _shape_keys(_ARM_KEYS, _ARM_REQUIRED)
+
+# each key's value in a plain document
+_NODE_FIELDS = {
+    "id": attrgetter("id"),
+    "kind": attrgetter("kind"),
+    "scatter": lambda n: _matrix_doc(n.scatter),
+    "label": attrgetter("label"),
+}
+_ARM_FIELDS = {
+    "id": attrgetter("id"),
+    "from": lambda a: [a.from_node, a.from_port],
+    "to": lambda a: [a.to_node, a.to_port],
+    "label": attrgetter("label"),
+    "phase": attrgetter("static_phase"),
+    "transmission": attrgetter("transmission"),
+    "modulation": lambda a: {"delta": a.modulation.delta, "bin": a.modulation.bin},
+}
+
+# each key's slot in the text writer's templates, for a record in an array
+# at indent 0: the record at indent 1, its values at indent 2
+_SLOTS = {
+    "id": "%s",
+    "kind": "%s",
+    "label": "%s",
+    "scatter": _lines("[", [_lines("[", [_complex_template(4)] * 2, "]", 3)] * 2, "]", 2),
+    "from": "[%s, %d]",
+    "to": "[%s, %d]",
+    "phase": FLOAT_FORMAT,
+    "transmission": FLOAT_FORMAT,
+    "modulation": _record_template(("delta", "bin"), (FLOAT_FORMAT, "%d"), 2),
+}
+_NODE_TEMPLATES = [_record_template(k, [_SLOTS[x] for x in k], 1) for k in _NODE_SHAPE_KEYS]
+_ARM_TEMPLATES = [_record_template(k, [_SLOTS[x] for x in k], 1) for k in _ARM_SHAPE_KEYS]
+
+
+def _record_docs(section: NetworkSection) -> tuple[list[dict], list[dict]]:
+    """A custom network's nodes and arms as plain dicts."""
+    return (
+        [
+            {key: _NODE_FIELDS[key](n) for key in _NODE_SHAPE_KEYS[shape]}
+            for n, shape in zip(section.nodes, _node_shapes(section.nodes))
+        ],
+        [
+            {key: _ARM_FIELDS[key](a) for key in _ARM_SHAPE_KEYS[shape]}
+            for a, shape in zip(section.arms, _arm_shapes(section.arms))
+        ],
+    )
+
+
+def _array_text(templates: list[str], shapes: list[int], args: list) -> Rendered:
+    """One template per record, by its shape, filled by one ``%`` call."""
+    if not shapes:
+        return Rendered("[]")
+    return Rendered(_lines("[", map(templates.__getitem__, shapes), "]", 0) % tuple(args))
+
+
+def _record_texts(section: NetworkSection) -> tuple:
+    """A custom network's nodes and arms as ``Rendered`` text, written
+    straight from the records: the bytes ``render_json`` makes of
+    ``_record_docs``.  Strings go through the JSON encoder as ``%``
+    arguments, never into a template.  When a float is not finite (never
+    on parsed records), the plain dicts are returned instead, and
+    ``render_json`` names the first bad value in document order."""
+    nodes, arms = section.nodes, section.arms
+    node_shapes, arm_shapes = _node_shapes(nodes), _arm_shapes(arms)
+    node_args, arm_args, floats = [], [], []
+    for n, shape in zip(nodes, node_shapes):
+        node_args += (_encode_str(n.id), _encode_str(n.kind))
+        if shape & 1:
+            (a, b), (c, d) = n.scatter
+            entries = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+            node_args += entries
+            floats += entries
+        if shape & 2:
+            node_args.append(_encode_str(n.label))
+    for a, shape in zip(arms, arm_shapes):
+        arm_args += (
+            _encode_str(a.id),
+            _encode_str(a.from_node),
+            a.from_port,
+            _encode_str(a.to_node),
+            a.to_port,
+        )
+        if shape:
+            if shape & 1:
+                arm_args.append(_encode_str(a.label))
+            if shape & 2:
+                arm_args.append(a.static_phase)
+                floats.append(a.static_phase)
+            if shape & 4:
+                arm_args.append(a.transmission)
+                floats.append(a.transmission)
+            if shape & 8:
+                arm_args += (a.modulation.delta, a.modulation.bin)
+                floats.append(a.modulation.delta)
+    if not all(map(math.isfinite, floats)):
+        return _record_docs(section)
+    return _array_text(_NODE_TEMPLATES, node_shapes, node_args), _array_text(
+        _ARM_TEMPLATES, arm_shapes, arm_args
+    )
+
+
+def _network_doc(section: NetworkSection, records) -> dict:
     doc: dict = {"kind": section.kind}
     if section.kind == "standard":
         if section.scatter:
             doc["scatter"] = {name: _matrix_doc(m) for name, m in section.scatter}
     else:
-        doc["nodes"] = []
-        for n in section.nodes:
-            nd: dict = {"id": n.id, "kind": n.kind}
-            if n.scatter is not None:
-                nd["scatter"] = _matrix_doc(n.scatter)
-            if n.label is not None:
-                nd["label"] = n.label
-            doc["nodes"].append(nd)
-        doc["arms"] = []
-        for a in section.arms:
-            ad: dict = {
-                "id": a.id,
-                "from": [a.from_node, a.from_port],
-                "to": [a.to_node, a.to_port],
-            }
-            if a.label is not None:
-                ad["label"] = a.label
-            if a.static_phase != 0.0:
-                ad["phase"] = a.static_phase
-            if a.transmission != 1.0:
-                ad["transmission"] = a.transmission
-            if a.modulation is not None:
-                ad["modulation"] = {"delta": a.modulation.delta, "bin": a.modulation.bin}
-            doc["arms"].append(ad)
+        doc["nodes"], doc["arms"] = records(section)
     if section.blocks:
         doc["blocks"] = list(section.blocks)
     return doc
@@ -644,9 +765,23 @@ def _experiment_doc(exp: Experiment) -> dict:
     return doc
 
 
-def scenario_doc(scenario: Scenario) -> dict:
-    """Render a Scenario back to a plain JSON-ready document."""
-    doc: dict = {"network": _network_doc(scenario.network)}
+def _scenario_doc(scenario: Scenario, records) -> dict:
+    doc: dict = {"network": _network_doc(scenario.network, records)}
     if scenario.experiment is not None:
         doc["experiment"] = _experiment_doc(scenario.experiment)
     return doc
+
+
+def scenario_doc(scenario: Scenario) -> dict:
+    """Render a Scenario back to a plain JSON-ready document."""
+    return _scenario_doc(scenario, _record_docs)
+
+
+def scenario_echo(scenario: Scenario) -> dict:
+    """The scenario section of a report: ``scenario_doc``, except that a
+    custom network's nodes and arms are ``reports.Rendered`` text written
+    from the records, with one ``%`` template per record shape.
+    ``render_json`` gives the same bytes for it as for ``scenario_doc``,
+    for records as ``parse_scenario`` builds them (exact ``str``, ``int``
+    and ``float`` fields)."""
+    return _scenario_doc(scenario, _record_texts)

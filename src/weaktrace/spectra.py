@@ -11,8 +11,8 @@ the readout works on signature classes, the routes grouped by that site
 set with their amplitudes summed, taken from one forward pass over the
 network.  The reading is ``weakval.post_selected_mean`` of the classes, as
 a ``pointer`` shift is of two.  Its cost is O(N K min(K, M)) in samples N,
-classes K and terms M of its moment series, and samples x classes^2 is
-bounded.
+classes K and terms M of its moment series, and that work is bounded, as
+is N K.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelError
 from .netgraph import Network, apply_block
 from .pathsum import resolve_detector, signature_amplitudes
-from .weakval import post_selected_mean
+from .weakval import post_selected_mean, readout_work
 
 ABSENT_POWER_TOL = 1e-20
 NOISE_FLOOR_FACTOR = 5.0
@@ -42,10 +42,15 @@ DEFAULT_SITE_BINS = (("A", 13), ("B", 17), ("C", 19), ("E", 23), ("F", 29))
 DEFAULT_SAMPLES = 4096
 # the readout holds a few samples x classes arrays; 2**20 samples is 8 MB per class
 MAX_SAMPLES = 2**20
-# bound on samples x classes^2, the readout's cost when it sums class pairs
-# directly; the moment series costs less, but the bound does not depend on
-# which kernel runs.  Over 100 times the largest benchmark or test input.
-MAX_READOUT_PAIRS = 2**30
+# bound on the work of the readout's kernel (weakval.readout_work): samples x
+# classes x (M + 1) moment terms on the series branch, samples x classes^2
+# pair overlaps on the pair branch.  Over 100 times the largest benchmark or
+# test input.
+MAX_READOUT_WORK = 2**30
+# bound on samples x classes, the size of each array the readout holds (256 MB
+# of displacements): the work bound alone would let a series readout's arrays
+# pass a gigabyte
+MAX_READOUT_CELLS = 2**25
 # the standard network's dark arms, blocked one at a time by default
 STANDARD_BLOCK_SITES = ("E", "F")
 
@@ -140,8 +145,11 @@ def readout_timeseries(
     gives the reading, exact in the depths up to a series remainder below
     1e-18, at a cost of O(N K M) from M + 1 amplitude moments per sample
     while the displacements stay within twice the width and K > M + 2,
-    else O(N K^2) from the class pairs; past ``MAX_READOUT_PAIRS``
-    samples x classes^2, TooManyRoutesError is raised before it starts.
+    else O(N K^2) from the class pairs.  TooManyRoutesError is raised
+    before any samples x classes array exists when N K passes
+    ``MAX_READOUT_CELLS``, or the kernel's work passes ``MAX_READOUT_WORK``:
+    the work is charged from the plan, whose summed depths bound every
+    displacement.
 
     Returns
     -------
@@ -155,11 +163,17 @@ def readout_timeseries(
     classes = signature_amplitudes(net, [sm.site for sm in plan.sites], target)
     if not classes:
         raise DegeneratePointerError(f"no paths reach detector {target!r}")
-    n = plan.samples
-    if n * len(classes) ** 2 > MAX_READOUT_PAIRS:
+    n, k = plan.samples, len(classes)
+    # every displacement is a sum of depths times sines, so the sum of the
+    # depths bounds it; the margin covers the rounding of up to one term per site
+    deltas = [sm.delta for sm in plan.sites]
+    reach = math.fsum(deltas) * (1.0 + len(deltas) * 2.0**-52)
+    work = readout_work(n, k, reach)
+    if n * k > MAX_READOUT_CELLS or work > MAX_READOUT_WORK:
         raise TooManyRoutesError(
-            f"{len(classes)} signature classes at {n} samples exceed the "
-            f"readout bound of {MAX_READOUT_PAIRS} samples x classes^2"
+            f"{k} signature classes at {n} samples exceed the readout bounds of "
+            f"{MAX_READOUT_CELLS} samples x classes and {MAX_READOUT_WORK} units "
+            f"of kernel work (here {work})"
         )
 
     member = np.array([[sm.site in sig for sm in plan.sites] for sig in classes], dtype=float)

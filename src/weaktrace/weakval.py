@@ -221,6 +221,31 @@ def _series_order(t: float) -> int:
     return order
 
 
+def _series_terms(t: float, classes: int) -> int | None:
+    """The order M of the moment series that ``post_selected_mean`` sums for
+    ``classes`` amplitudes at t = max|d|^2 / 4, or None when it sums the
+    pair overlaps instead."""
+    if t > SERIES_MAX_T:
+        return None
+    order = _series_order(t)
+    return order if classes > order + 2 else None
+
+
+def readout_work(samples: int, classes: int, reach: float) -> int:
+    """The work of ``post_selected_mean`` on ``classes`` amplitudes and
+    ``samples`` readings whose displacements stay within ``reach`` (in
+    units of sigma): samples x classes x (M + 1) moment terms when the
+    series runs, samples x classes^2 pair overlaps otherwise.
+
+    The kernel is chosen as ``post_selected_mean`` chooses it, from
+    t = reach^2 / 4.  A reach at or above the largest displacement
+    charges at least the work of the kernel that runs: the series order
+    grows with t, and at K > M + 2 the series costs less than the pairs.
+    """
+    order = _series_terms(reach * reach / 4.0, classes)
+    return samples * classes * (classes if order is None else order + 1)
+
+
 def _moment_sums(amps: np.ndarray, disp: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and rate of ``post_selected_mean`` from the amplitude moments
     S_m = sum_i A_i g_i d_i^m, m <= order, of each reading."""
@@ -273,11 +298,10 @@ def post_selected_mean(amps, disp) -> tuple[np.ndarray, np.ndarray]:
     """
     amps = np.asarray(amps, dtype=complex)
     reach = max(float(np.max(disp)), -float(np.min(disp)))
-    t = reach * reach / 4.0
-    order = _series_order(t) if t <= SERIES_MAX_T else None
+    order = _series_terms(reach * reach / 4.0, amps.size)
     # a separation far beyond the width squares to inf, and exp(-inf) = 0
     with np.errstate(over="ignore"):
-        if order is not None and amps.size > order + 2:
+        if order is not None:
             mean, rate = _moment_sums(amps, disp, order)
         else:
             mean, rate = _pair_sums(amps, disp)

@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import count_sweeps
@@ -681,14 +683,64 @@ def test_pointer_has_no_route_limit(tmp_path, capsys):
         assert reading["shift"] == pytest.approx(reading["coupling"], abs=1e-12)
 
 
+def cascade_plan(stages: int, delta: float) -> dict:
+    """Every upper arm of hadamard_cascade_scenario probed at ``delta``,
+    which splits its 2**stages routes into as many signature classes."""
+    return {f"s{s}u": {"delta": delta, "bin": 13 + 2 * s} for s in range(stages)}
+
+
+def cascade_route_amplitudes(stages: int) -> dict:
+    """The amplitude at D of each route of hadamard_cascade_scenario, by
+    hand: a route is the output port it takes at J0..J<stages - 1>, and it
+    picks up h at each splitter and a sign at each one that it enters and
+    leaves by port 1."""
+    h = 2**-0.5
+    amps = {}
+    for ports in itertools.product((0, 1), repeat=stages):
+        seq = (0, *ports, 0)  # into J0 by port 0, out of J<stages> by port 0
+        flips = sum(a == b == 1 for a, b in zip(seq, seq[1:]))
+        amps[ports] = (-1) ** flips * h ** (stages + 1)
+    return amps
+
+
+def test_series_readout_of_1024_classes_matches_quadrature(tmp_path, capsys):
+    # 1024 classes at 4096 samples cost 2**32 pair overlaps, but the series
+    # takes M + 1 moments per class and sample, well inside the bound
+    doc = hadamard_cascade_scenario(10)
+    plan = cascade_plan(10, 0.01)
+    doc["experiment"] = {"kind": "spectral", "samples": 4096, "plan": plan}
+    csv_dir = tmp_path / "csv"
+    argv = ["spectrum", write(tmp_path, "cascade.json", json.dumps(doc)), "--csv-dir", str(csv_dir)]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    table = np.loadtxt(csv_dir / "timeseries.csv", delimiter=",", skiprows=1)
+
+    # the pointer state at sample k, sum over routes of A G(x - d), integrated
+    amps = cascade_route_amplitudes(10)
+    a = np.array(list(amps.values()))
+    upper = np.array([[port == 0 for port in ports] for ports in amps], dtype=float)
+    bins = np.array([p["bin"] for p in plan.values()], dtype=float)
+    x = np.linspace(-12.5, 12.5, 4001)
+    weights = np.full(x.size, x[1] - x[0])
+    weights[0] = weights[-1] = weights[0] / 2
+    for k in (0, 1, 7, 100, 1023, 2048, 3001, 4095):
+        d = upper @ (0.01 * np.sin(2 * np.pi * bins * k / 4096))
+        psi = a @ weakval.pointer_profile(x[None, :] - d[:, None], 1.0)
+        density = np.abs(psi) ** 2
+        rate = density @ weights
+        assert abs(table[k, 2] - rate) < 1e-12
+        assert abs(table[k, 1] - (density * x) @ weights / rate) < 1e-12
+
+
 def test_readout_bound_exits_3_before_the_readout(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the readout ran")
 
     monkeypatch.setattr(spectra, "post_selected_mean", refuse)
-    # probing every upper arm splits the 2**10 routes into 1024 classes
+    # the summed depth 5 reaches past twice the width, so the 1024 classes
+    # would take the pair kernel: 4096 x 1024^2 = 2**32 units of work
     doc = hadamard_cascade_scenario(10)
-    plan = {f"s{s}u": {"delta": 0.01, "bin": 13 + 2 * s} for s in range(10)}
+    plan = cascade_plan(10, 0.5)
     doc["experiment"] = {"kind": "spectral", "samples": 4096, "plan": plan}
     code, out, err = run(capsys, ["spectrum", write(tmp_path, "cascade.json", json.dumps(doc))])
     assert code == 3
@@ -696,6 +748,12 @@ def test_readout_bound_exits_3_before_the_readout(tmp_path, capsys, monkeypatch)
     error = json.loads(err)
     assert error["error"] == "too_many_routes"
     assert "1024 signature classes at 4096 samples" in error["message"]
+    assert error["message"].endswith(f"(here {2**32})")
+    # the all-upper class itself is displaced past 2 (t > 1): the series
+    # would not run
+    k = np.arange(4096)
+    reach = np.abs(sum(0.5 * np.sin(2 * np.pi * p["bin"] * k / 4096) for p in plan.values()))
+    assert reach.max() > 2.0
 
 
 def count_forward_passes(monkeypatch):

@@ -1,16 +1,22 @@
 """The bulk report emitter against the per-value reference in conftest."""
 
+import dataclasses
 import json
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_csv, reference_render_json
 from weaktrace import reports
 from weaktrace.cli import main
 from weaktrace.errors import NonFiniteResultError
+from weaktrace.scenario import parse_scenario, scenario_doc, scenario_echo
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 COMMANDS = ("validate", "paths", "weak", "pointer", "spectrum", "block")
@@ -27,6 +33,16 @@ def seeded_floats(seed: int, n: int) -> np.ndarray:
     plain = rng.standard_normal(n)
     values = np.concatenate([bits, wide, plain, SPECIAL])
     return values[rng.permutation(len(values))]
+
+
+def plain_envelope(doc: dict, scenario_path) -> dict:
+    """A CLI report document with its echoed network as ``scenario_doc``
+    gives it, plain dicts that the reference renders: the CLI writes a
+    custom network's nodes and arms as text made before ``render_json``."""
+    if "scenario" not in doc:  # an error document
+        return doc
+    network = scenario_doc(parse_scenario(Path(scenario_path).read_text()))["network"]
+    return {**doc, "scenario": {**doc["scenario"], "network": network}}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -58,13 +74,14 @@ def test_cli_text_matches_reference(tmp_path, capsys, monkeypatch, command, scen
     argv = [command, str(scenario)]
     if command in ("spectrum", "block"):
         argv += ["--csv-dir", str(tmp_path / "csv")]
-    main(argv)
-    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
 
     # a report or an error document, always exactly one
     assert len(docs) == 1
     doc, text = docs[0]
-    assert text == reference_render_json(doc)
+    assert (out if code == 0 else err) == text
+    assert text == reference_render_json(plain_envelope(doc, scenario))
     for text, expected in tables:
         assert text == expected
     if command in ("spectrum", "block") and "result" in doc:
@@ -104,6 +121,44 @@ def test_csv_index_column_to_2_20_rows():
     text = reports.spectrum_csv(power)
     assert text == reference_csv("bin,power", power)
     assert text.endswith("\n1048575,0\n")
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory it traced beyond what was
+    held when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+def test_spectrum_csv_holds_one_copy():
+    """The 2**19 + 1 bins of a 2**20-sample power, their text already made
+    for the report: the CSV text grows by a chunk of rows at a time."""
+    power = reports.Floats(np.random.default_rng(7).random(2**19 + 1).tolist())
+    power.text
+    text, peak = traced_peak(reports.spectrum_csv, power)
+    assert text.count("\n") == 2**19 + 2
+    assert peak <= sys.getsizeof(text) + 8 * 2**20
+
+
+def test_timeseries_csv_holds_one_copy():
+    """2**20 rows: beyond its text, only a chunk of rows is held, never the
+    whole float table or a second copy of the text."""
+    rng = np.random.default_rng(8)
+    xbar, rate = rng.standard_normal(2**20), rng.random(2**20)
+    reports.timeseries_csv(xbar[:10], rate[:10])  # the float text tables are built on first use
+    text, peak = traced_peak(reports.timeseries_csv, xbar, rate)
+    assert text.startswith("k,xbar,rate\n0,") and text.count("\n") == 2**20 + 1
+    assert peak <= sys.getsizeof(text) + 8 * 2**20
 
 
 def test_empty_tables_and_arrays():
@@ -351,10 +406,101 @@ def test_chain_reports_match_reference(tmp_path, capsys, monkeypatch, command):
 
     monkeypatch.setattr(reports, "render_json", spy_json)
     assert main([command, str(path)]) == 0
-    assert capsys.readouterr().out == docs[0][1]
-    doc, text = docs[0]
-    assert len(doc["scenario"]["network"]["arms"]) == 1005
-    assert text == reference_render_json(doc)
+    plain = plain_envelope(docs[0][0], path)
+    assert len(plain["scenario"]["network"]["arms"]) == 1005
+    assert capsys.readouterr().out == reference_render_json(plain)
+
+
+# characters that a template would misread ("%"), that JSON escapes, and
+# non-ASCII ones, a lone surrogate included
+ID_CHARS = st.sampled_from(
+    ["a", "s", "d", "%", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "→", "😀", "\ud800"]
+)
+R = 2**-0.5
+SCATTERS = [
+    [[R, R], [R, -R]],
+    [[{"re": R, "im": 0}, {"re": 0, "im": R}], [{"re": 0.0, "im": R}, {"re": R, "im": -0.0}]],
+    [[0, 1], [1, 0]],
+    [[1, -0.0], [-0.0, 1.0]],
+    [[0.6, 0.8], [0.8, -0.6]],
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_custom_networks(draw):
+    """Custom scenarios that validate: a source, then a chain of mirrors and
+    splitters (each splitter's other output into a sink of its own), then a
+    detector.  Every node and arm shape occurs, ids and labels hold the
+    characters of ID_CHARS, and ``blocks`` names some arm labels."""
+    count = draw(st.integers(0, 14))  # 2 to 30 nodes, 1 to 29 arms
+    kinds = draw(st.lists(st.sampled_from(["mirror", "beam_splitter"]), min_size=count, max_size=count))
+    splitters = kinds.count("beam_splitter")
+
+    def names(n):
+        name = st.text(ID_CHARS, min_size=1, max_size=5)
+        return iter(draw(st.lists(name, min_size=n, max_size=n, unique=True)))
+
+    node_ids, arm_ids = names(count + splitters + 2), names(count + splitters + 1)
+    labels = names(count + splitters + 1)
+
+    def node(kind):
+        doc = {"id": next(node_ids), "kind": kind}
+        if kind == "beam_splitter":
+            doc["scatter"] = draw(st.sampled_from(SCATTERS))
+        if draw(st.booleans()):
+            doc["label"] = draw(st.text(ID_CHARS, max_size=4))
+        return doc
+
+    def arm(start, end):
+        doc = {"id": next(arm_ids), "from": start, "to": end}
+        if draw(st.booleans()):
+            doc["label"] = next(labels)
+        if draw(st.booleans()):
+            doc["phase"] = draw(st.sampled_from([0, 0.0, -0.0, 1, 1e-300, -5e-324, 2.5]) | FINITE)
+        if draw(st.booleans()):
+            doc["transmission"] = draw(st.sampled_from([0, 1, 1.0, 0.5, 5e-324]) | st.floats(0, 1))
+        if draw(st.booleans()):
+            delta = st.sampled_from([0, 0.01, 1e-300]) | st.floats(0, 1e300)
+            doc["modulation"] = {"delta": draw(delta), "bin": draw(st.integers(-3, 2**70))}
+        return doc
+
+    nodes, arms = [node("source")], []
+    end = [nodes[0]["id"], 0]
+    for kind in kinds:
+        nodes.append(node(kind))
+        port = draw(st.integers(0, 1)) if kind == "beam_splitter" else 0
+        arms.append(arm(end, [nodes[-1]["id"], port]))
+        end = [nodes[-1]["id"], 0]
+        if kind == "beam_splitter":
+            out = draw(st.integers(0, 1))
+            nodes.append(node("sink"))
+            arms.append(arm([nodes[-2]["id"], 1 - out], [nodes[-1]["id"], 0]))
+            end = [nodes[-2]["id"], out]
+    nodes.append(node("detector"))
+    arms.append(arm(end, [nodes[-1]["id"], 0]))
+    network = {"kind": "custom", "nodes": draw(st.permutations(nodes)), "arms": arms}
+    sites = [a["label"] for a in arms if "label" in a]
+    if sites and draw(st.booleans()):
+        network["blocks"] = draw(st.lists(st.sampled_from(sites), min_size=1, unique=True))
+    return {"network": network}
+
+
+@settings(max_examples=150, deadline=None)
+@given(scn=valid_custom_networks())
+def test_validate_echo_matches_reference(tmp_path_factory, scn):
+    path = tmp_path_factory.mktemp("echo") / "scenario.json"
+    path.write_text(json.dumps(scn))
+    out = path.with_suffix(".out")
+    docs = []
+    render_json = reports.render_json
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "render_json", lambda doc: docs.append(doc) or render_json(doc))
+        assert main(["validate", str(path), "--out", str(out), "--quiet"]) == 0
+    # the nodes and arms were written from the records
+    network = docs[0]["scenario"]["network"]
+    assert type(network["nodes"]) is type(network["arms"]) is reports.Rendered
+    assert out.read_text() == reference_render_json(plain_envelope(docs[0], path))
 
 
 def test_a_run_of_records_is_rendered_column_by_column(monkeypatch):
@@ -383,6 +529,19 @@ def error_of(call, doc):
     with pytest.raises((NonFiniteResultError, TypeError)) as err:
         call(doc)
     return type(err.value), str(err.value)
+
+
+def test_echo_of_a_non_finite_value_names_it_as_the_plain_document_does():
+    # parsing refuses these, but an echo of records built in code still
+    # refuses a NaN or an infinity at its place in document order
+    sc = parse_scenario(json.dumps(chain_scenario(10)))
+    arms = list(sc.network.arms)
+    arms[3] = dataclasses.replace(arms[3], static_phase=-np.inf)
+    arms[7] = dataclasses.replace(arms[7], transmission=np.nan)
+    bad = dataclasses.replace(sc, network=dataclasses.replace(sc.network, arms=tuple(arms)))
+    err = error_of(reports.render_json, scenario_echo(bad))
+    assert err == error_of(reports.render_json, scenario_doc(bad))
+    assert err == (NonFiniteResultError, "the result holds a non-finite value (-inf)")
 
 
 def bad_records(bad: dict) -> list:

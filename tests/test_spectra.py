@@ -232,14 +232,48 @@ def test_readout_rejects_bad_sigma(std_net):
 
 
 def test_readout_work_is_bounded(std_net, monkeypatch):
+    # a few classes take the pair kernel: samples x classes^2 units
+    pairs = kernel_calls(monkeypatch, "_pair_sums")
     plan = default_plan(0.01, samples=64)
-    pairs = 64 * len(signature_amplitudes(std_net, [sm.site for sm in plan.sites])) ** 2
-    monkeypatch.setattr(spectra, "MAX_READOUT_PAIRS", pairs)
+    classes = len(signature_amplitudes(std_net, [sm.site for sm in plan.sites]))
+    work = 64 * classes**2
+    monkeypatch.setattr(spectra, "MAX_READOUT_WORK", work)
     readout_timeseries(std_net, plan, sigma=1.0)
-    monkeypatch.setattr(spectra, "MAX_READOUT_PAIRS", pairs - 1)
+    assert pairs == [(classes,)]
+    monkeypatch.setattr(spectra, "MAX_READOUT_WORK", work - 1)
     with pytest.raises(TooManyRoutesError) as err:
         readout_timeseries(std_net, plan, sigma=1.0)
     assert err.value.exit_code == 3
+    assert f"(here {work})" in str(err.value)
+    assert pairs == [(classes,)]
+
+
+def test_series_readout_is_charged_its_moment_terms(monkeypatch):
+    # 128 classes take the series, charged samples x classes x (M + 1) with M
+    # the order at the plan's widest displacement, the summed depths
+    series = kernel_calls(monkeypatch, "_moment_sums")
+    net = _cascade([2] * 7)
+    sites = sorted(net.site_labels())
+    plan = ModulationPlan(
+        sites=tuple(SiteModulation(s, 0.002, 3 + 5 * i) for i, s in enumerate(sites)),
+        samples=256,
+    )
+    order = weakval._series_order((7 * 0.002) ** 2 / 4.0)
+    work = 256 * 128 * (order + 1)
+    monkeypatch.setattr(spectra, "MAX_READOUT_WORK", work)
+    readout_timeseries(net, plan, sigma=1.0)
+    assert len(series) == 1 and series[0][0] == 128 and series[0][1] <= order
+    monkeypatch.setattr(spectra, "MAX_READOUT_WORK", work - 1)
+    with pytest.raises(TooManyRoutesError, match=rf"\(here {work}\)$"):
+        readout_timeseries(net, plan, sigma=1.0)
+    # the readout's arrays are bounded apart from the work
+    monkeypatch.setattr(spectra, "MAX_READOUT_WORK", work)
+    monkeypatch.setattr(spectra, "MAX_READOUT_CELLS", 256 * 128)
+    readout_timeseries(net, plan, sigma=1.0)
+    monkeypatch.setattr(spectra, "MAX_READOUT_CELLS", 256 * 128 - 1)
+    with pytest.raises(TooManyRoutesError, match="128 signature classes at 256 samples"):
+        readout_timeseries(net, plan, sigma=1.0)
+    assert len(series) == 2
 
 
 # ---------------------------------------------------------------- spectra

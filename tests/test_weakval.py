@@ -386,3 +386,26 @@ def test_small_kernels_stay_on_the_pair_sums(monkeypatch, std_net):
     pointer_shift_exact(amps, PointerModel(site="B", sigma=1.0, coupling=1e-3))
     weakval.post_selected_mean(np.ones(3), np.zeros((4, 3)))
     assert series == [] and pairs == [(2,), (3,)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(1, 40),
+    t=st.sampled_from([0.0, 1e-6, 0.3, 1.0, 1.0 + 1e-12, 4.0]) | st.floats(0.0, 4.0),
+    shrink=st.sampled_from([1.0, 0.5, 0.0]) | st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_readout_work_never_charges_less_than_the_kernel_runs(seed, classes, t, shrink):
+    # readings within a reach of 2 sqrt(t), and perhaps well inside it
+    amps, disp = _kernel_case(seed, classes, t)
+    disp *= shrink
+    with pytest.MonkeyPatch.context() as mp:
+        series = kernel_calls(mp, "_moment_sums")
+        pairs = kernel_calls(mp, "_pair_sums")
+        try:
+            weakval.post_selected_mean(amps, disp)
+        except DegeneratePointerError:
+            pass
+    assert len(series) + len(pairs) == 1
+    ran = 8 * classes * (series[0][1] + 1) if series else 8 * classes**2
+    assert weakval.readout_work(8, classes, 2.0 * math.sqrt(t)) >= ran
