@@ -11,8 +11,12 @@ transmission 0: blocking a site sets its arm's transmission to 0.
 Networks are immutable.  Edits (blocking a site, changing a transmission)
 produce a new, revalidated instance.  A network keeps the indexes its
 validation built: nodes by id, the arm leaving each output port, arms by
-site label, and one topological order.  Every pass over the network reads
-them, so it is sorted and indexed once, when it is built.
+site label, one topological order, and the legs.  A leg is the run of
+arms from one output port of the source, of a beam splitter or of a
+mirror that no arm feeds, through fed mirrors, up to the next node that
+is not a mirror, with each arm's factor computed once.  Every pass over
+the network reads these indexes, so it is sorted, indexed and cut into
+legs once, when it is built.
 """
 
 from __future__ import annotations
@@ -117,6 +121,26 @@ class Arm:
         return self.transmission * cmath.exp(1j * self.static_phase)
 
 
+class Leg:
+    """The arms from one output port through fed mirrors up to the next node
+    that is not a mirror, in order.
+
+    Per arm, ``ids`` holds its id, ``ends`` the (node, input port) it
+    feeds and ``factors`` its ``Arm.factor()``; the last of ``ends`` is
+    where the leg ends.  ``sites`` lists the site labels of its arms, and
+    ``blocked`` is whether one of its arms has transmission 0.
+    """
+
+    __slots__ = ("ids", "ends", "factors", "sites", "blocked")
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.ends: list[tuple[str, int]] = []
+        self.factors: list[complex] = []
+        self.sites: list[str] = []
+        self.blocked = False
+
+
 @dataclass(frozen=True)
 class Network:
     """A validated network, made only by ``build_network``; the underscored
@@ -130,6 +154,7 @@ class Network:
     _outgoing: dict[tuple[str, int], Arm] = field(compare=False, repr=False)
     _by_label: dict[str, Arm] = field(compare=False, repr=False)
     _order: tuple[Node, ...] = field(compare=False, repr=False)
+    _legs: dict[str, tuple[Node, tuple[Leg, ...]]] = field(compare=False, repr=False)
 
     def labeled_arm(self, label: str) -> Arm:
         """The unique arm carrying a site label.
@@ -155,6 +180,12 @@ class Network:
     def topological_order(self) -> tuple[Node, ...]:
         """Nodes sorted so every arm points forward."""
         return self._order
+
+    def legs(self) -> Mapping[str, tuple[Node, tuple[Leg, ...]]]:
+        """(node, its legs by output port) for each node that starts legs:
+        the source, every beam splitter and every mirror that no arm feeds,
+        keyed by node id in topological order; read-only."""
+        return MappingProxyType(self._legs)
 
 
 def _check_unitary(node: Node) -> None:
@@ -266,18 +297,42 @@ def build_network(nodes, arms) -> Network:
         raise NetworkError("network has no detector")
 
     # Kahn's algorithm: a node is ready once every arm into it has been
-    # passed.  Nodes on or behind a cycle never get ready.
+    # passed.  Nodes on or behind a cycle never get ready.  The same loop
+    # cuts the arms into legs: a fed mirror is ready once its one arm in has
+    # been passed, and it continues the leg of that arm.
     order = [n for n in nodes if not indeg[n.id]]
+    legs: dict[str, tuple[Node, tuple[Leg, ...]]] = {}
+    reaching: dict[str, Leg] = {}  # the leg into each fed mirror not yet passed
     for n in order:  # the list grows as nodes become ready
+        fed = reaching.pop(n.id, None)
+        if fed is not None:
+            ports = (fed,)
+        elif OUT_PORTS[n.kind]:
+            ports = tuple(Leg() for _ in range(OUT_PORTS[n.kind]))
+            legs[n.id] = (n, ports)
         for a in out_arms.get(n.id, ()):
-            indeg[a.to_node] -= 1
-            if not indeg[a.to_node]:
-                order.append(by_id[a.to_node])
+            leg = ports[a.from_port]
+            to = a.to_node
+            leg.ids.append(a.id)
+            leg.ends.append((to, a.to_port))
+            leg.factors.append(a.factor())
+            if a.label is not None:
+                leg.sites.append(a.label)
+            if a.transmission == 0.0:
+                leg.blocked = True
+            indeg[to] -= 1
+            if not indeg[to]:
+                node = by_id[to]
+                order.append(node)
+                if node.kind == MIRROR:
+                    reaching[to] = leg
     if len(order) != len(nodes):
         stuck = sorted(node_id for node_id, left in indeg.items() if left)
         raise CyclicGraphError(f"cycle through nodes {stuck}")
 
-    return Network(nodes, arms, sources[0].id, detectors, by_id, outgoing, by_label, tuple(order))
+    return Network(
+        nodes, arms, sources[0].id, detectors, by_id, outgoing, by_label, tuple(order), legs
+    )
 
 
 def standard_nested_mzi(bs1=None, bs2=None, bs3=None, bs4=None) -> Network:

@@ -1,7 +1,13 @@
 """Amplitude sweeps, the signature pass, and exhaustive path enumeration.
 
-Three passes over a network's stored topological order serve different
-readers:
+Every pass runs over the legs that ``build_network`` cut the network
+into (``Network.legs``): the run of arms from one output port of the
+source, of a splitter or of an unfed mirror, through fed mirrors, to the
+next node that is not a mirror, each arm with its factor computed once.
+A pass works out what enters each leg at the node that starts it, then
+carries it along the leg's arms with the arithmetic, in the order, that
+one step per node would take, so every value and sign of zero is the one
+a node-by-node pass gives.  Three passes serve different readers:
 
 - ``_sweep_forward`` carries one amplitude per port from the source:
   ``propagate``, ``terminal_amplitudes`` and ``arm_input_amplitudes``,
@@ -20,25 +26,22 @@ A sweep costs one update per arm, so it needs no step bound.  The
 signature pass costs one per arm and class, which can double with every
 cascaded splitter, so it stops past ``MAX_ROUTE_STEPS`` updates.
 ``enumerate_paths`` walks every source-to-detector route for the route
-tables of ``paths`` and ``weak`` and as an oracle, and assigns it the
-product of splitter entries and arm factors along the way.  For a valid
-network the summed path amplitudes reproduce the propagated ones.
+tables of ``paths`` and ``weak`` and as an oracle, a leg per step, and
+assigns it the product of splitter entries and arm factors along the
+way.  Its step bound counts one step for the source and one per arm of
+each leg it takes: an arrival at every node a route reaches.  For a
+valid network the summed path amplitudes reproduce the propagated ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice, repeat
+from operator import mul
 
 from .errors import TooManyRoutesError, UnknownLabelError
-from .netgraph import (
-    BEAM_SPLITTER,
-    DETECTOR,
-    MIRROR,
-    OUT_PORTS,
-    SINK,
-    SOURCE,
-    Network,
-)
+from .netgraph import BEAM_SPLITTER, DETECTOR, SINK, SOURCE, Network
 
 # bound on the depth-first steps of one enumeration; routes double with
 # every cascaded splitter, so this keeps `paths` from running unbounded
@@ -71,7 +74,7 @@ class PathEnsemble:
 
 
 def _forward(net: Network, probed=frozenset()):
-    """Propagate the unit source amplitude through every node, by signature.
+    """Propagate the unit source amplitude through every leg, by signature.
 
     A route's signature is the tuple of ``probed`` site labels it passes,
     in route order (one order per site set, since the graph is acyclic).
@@ -84,14 +87,14 @@ def _forward(net: Network, probed=frozenset()):
     Each map-entry update is one step; past ``MAX_ROUTE_STEPS`` steps the
     pass raises TooManyRoutesError.
     """
-    outgoing = net.outgoing()
     in_amp: dict[tuple[str, int], dict[tuple[str, ...], complex]] = {}
     arm_in: dict[str, dict[tuple[str, ...], complex]] = {}
+    labels = net.site_labels()
+    # the site each probed arm adds to a signature
+    probed_arms = {net.labeled_arm(s).id: (s,) for s in probed if s in labels}
     steps = 0
-    for node in net.topological_order():
-        if node.kind == SOURCE:
-            outs = [{(): 1.0 + 0j}]
-        elif node.kind == BEAM_SPLITTER:
+    for node, legs in net.legs().values():
+        if node.kind == BEAM_SPLITTER:
             m0 = in_amp.get((node.id, 0), {})
             m1 = in_amp.get((node.id, 1), {})
             sigs = {**m0, **m1}  # signatures in first-seen order
@@ -102,31 +105,31 @@ def _forward(net: Network, probed=frozenset()):
                 }
                 for row in node.scatter
             ]
-        elif node.kind == MIRROR:
-            outs = [in_amp.get((node.id, 0), {})]
-        else:  # detectors and sinks end routes
-            continue
-        for port, amps in enumerate(outs):
-            arm = outgoing[(node.id, port)]
-            arm_in[arm.id] = amps
-            steps += len(amps)
-            if steps > MAX_ROUTE_STEPS:
-                raise TooManyRoutesError(
-                    f"amplitude propagation passed {MAX_ROUTE_STEPS} steps; "
-                    f"the network has too many probed-site signatures"
-                )
-            # an arm of transmission 0 zeroes its routes but keeps their signatures
-            factor = arm.factor()
-            site = (arm.label,) if arm.label in probed else ()
-            dest = in_amp.setdefault((arm.to_node, arm.to_port), {})
-            for sig, amp in amps.items():
-                key = sig + site
-                dest[key] = dest.get(key, 0j) + amp * factor
+        elif node.kind == SOURCE:
+            outs = [{(): 1.0 + 0j}]
+        else:  # a mirror that no arm feeds
+            outs = [{}]
+        for leg, amps in zip(legs, outs):
+            for arm_id, end, factor in zip(leg.ids, leg.ends, leg.factors):
+                arm_in[arm_id] = amps
+                steps += len(amps)
+                if steps > MAX_ROUTE_STEPS:
+                    raise TooManyRoutesError(
+                        f"amplitude propagation passed {MAX_ROUTE_STEPS} steps; "
+                        f"the network has too many probed-site signatures"
+                    )
+                # an arm of transmission 0 zeroes its routes but keeps their signatures
+                site = probed_arms.get(arm_id, ())
+                dest = in_amp.setdefault(end, {})
+                for sig, amp in amps.items():
+                    key = sig + site
+                    dest[key] = dest.get(key, 0j) + amp * factor
+                amps = dest  # a fed mirror relays what reaches it
     return in_amp, arm_in
 
 
 def _sweep_forward(net: Network):
-    """Propagate the unit source amplitude through every node, one scalar
+    """Propagate the unit source amplitude through every leg, one scalar
     per port: ``_forward`` with nothing probed, bit for bit.
 
     Returns (fwd, arm_in): the amplitude arriving at each (node, input
@@ -135,15 +138,12 @@ def _sweep_forward(net: Network):
     ``_forward``, no route takes a zero splitter entry, and each sum is
     taken in the same order, so signs of zero match too.
     """
-    outgoing = net.outgoing()
     fwd: dict[tuple[str, int], complex] = {}
     arm_in: dict[str, complex] = {}
     get = fwd.get
-    for node in net.topological_order():
+    for node, legs in net.legs().values():
         kind = node.kind
-        if kind == MIRROR:
-            outs = (get((node.id, 0)),)
-        elif kind == BEAM_SPLITTER:
+        if kind == BEAM_SPLITTER:
             k0, k1 = (node.id, 0), (node.id, 1)
             a0, a1 = get(k0, 0j), get(k1, 0j)
             in0, in1 = k0 in fwd, k1 in fwd
@@ -153,41 +153,46 @@ def _sweep_forward(net: Network):
             ]
         elif kind == SOURCE:
             outs = (1.0 + 0j,)
-        else:  # detectors and sinks end routes
-            continue
-        for port, amp in enumerate(outs):
-            arm = outgoing[(node.id, port)]
+        else:  # a mirror that no arm feeds
+            outs = (None,)
+        for leg, amp in zip(legs, outs):
             if amp is None:
-                arm_in[arm.id] = 0j
-            else:
-                arm_in[arm.id] = amp
-                fwd[(arm.to_node, arm.to_port)] = 0j + amp * arm.factor()
+                arm_in.update(zip(leg.ids, repeat(0j)))
+                continue
+            for arm_id, end, factor in zip(leg.ids, leg.ends, leg.factors):
+                arm_in[arm_id] = amp
+                amp = 0j + amp * factor
+                fwd[end] = amp
     return fwd, arm_in
 
 
 def _sweep_backward(net: Network, detector: str) -> dict[tuple[str, int], complex]:
     """The amplitude a unit amplitude at each point sends on to ``detector``.
 
-    Runs over the topological order reversed: each arm applies its factor
-    and each splitter its transpose.  Keyed by (node, input port); the
-    source, which has no input, is keyed by port 0, and its value is the
-    summed detection amplitude.
+    Runs over the legs backward, in the topological order reversed: each
+    arm applies its factor and each splitter its transpose.  Keyed by
+    (node, input port); the source, which has no input, is keyed by port
+    0, and its value is the summed detection amplitude.
     """
-    outgoing = net.outgoing()
     bwd = {(detector, 0): 1.0 + 0j}
     get = bwd.get
-    for node in reversed(net.topological_order()):
-        kind = node.kind
-        if kind == MIRROR or kind == SOURCE:
-            arm = outgoing[(node.id, 0)]
-            bwd[(node.id, 0)] = arm.factor() * get((arm.to_node, arm.to_port), 0j)
-        elif kind == BEAM_SPLITTER:
-            arm0, arm1 = outgoing[(node.id, 0)], outgoing[(node.id, 1)]
-            out0 = arm0.factor() * get((arm0.to_node, arm0.to_port), 0j)
-            out1 = arm1.factor() * get((arm1.to_node, arm1.to_port), 0j)
+    for node, legs in reversed(net.legs().values()):
+        outs = []
+        for leg in legs:
+            ends, factors = leg.ends, leg.factors
+            out = get(ends[-1], 0j)
+            # each fed mirror of the leg, last first, with the factor of the arm it starts
+            for end, factor in zip(islice(reversed(ends), 1, None), reversed(factors)):
+                out = factor * out
+                bwd[end] = out
+            outs.append(factors[0] * out)
+        if node.kind == BEAM_SPLITTER:
+            out0, out1 = outs
             (s00, s01), (s10, s11) = node.scatter
             bwd[(node.id, 0)] = s00 * out0 + s10 * out1
             bwd[(node.id, 1)] = s01 * out0 + s11 * out1
+        else:  # the source or a mirror that no arm feeds
+            bwd[(node.id, 0)] = outs[0]
     return bwd
 
 
@@ -208,7 +213,9 @@ def terminal_amplitudes(net: Network) -> dict[str, complex]:
 
 
 def arm_input_amplitudes(net: Network) -> dict[str, complex]:
-    """Amplitude entering each arm, keyed by arm id."""
+    """Amplitude entering each arm, keyed by arm id, in leg order: the
+    legs of each node that starts legs, in topological order, each leg's
+    arms in turn.  For the standard network that is its arm order."""
     return _sweep_forward(net)[1]
 
 
@@ -266,34 +273,33 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
         Paths in depth-first order (output port 0 explored first).
     """
     target = resolve_detector(net, detector)
-    nodes = net.node_map()
-    outgoing = net.outgoing()
+    starts = net.legs()
     paths: list[Path] = []
 
-    # depth-first walk that builds one route in place; each entry is a
-    # partial route arriving at a node: (lengths of the arm and site lists
-    # it extends, the arm it arrives by or None at the source, node id,
-    # input port, amplitude, blocked).  A route's tuples are made only at
-    # the detector, so it costs steps in proportion to its length.
+    # depth-first walk that builds one route in place, a leg per step; each
+    # entry is a partial route that has run a leg to its end: (lengths of
+    # the arm and site lists it extends, the leg, the amplitude at its end,
+    # blocked).  A route's tuples are made only at the detector, and each
+    # leg counts one step per arm, as many as the arrivals it stands for.
     arm_ids: list[str] = []
     sites: list[str] = []
-    stack = [(0, 0, None, net.source, 0, 1.0 + 0j, False)]
-    steps = 0
+    _, (leg,) = starts[net.source]
+    stack = [(0, 0, leg, reduce(mul, leg.factors, 1.0 + 0j), leg.blocked)]
+    steps = 1  # the arrival at the source
     while stack:
-        steps += 1
+        n_arms, n_sites, leg, amp, blocked = stack.pop()
+        steps += len(leg.ids)
         if steps > MAX_ROUTE_STEPS:
             raise TooManyRoutesError(
                 f"route enumeration passed {MAX_ROUTE_STEPS} steps "
                 f"with {len(paths)} routes found; the network has too many routes to list"
             )
-        n_arms, n_sites, arm, node_id, in_port, amp, blocked = stack.pop()
         del arm_ids[n_arms:], sites[n_sites:]
-        if arm is not None:
-            arm_ids.append(arm.id)
-            if arm.label is not None:
-                sites.append(arm.label)
-        node = nodes[node_id]
-        if node.kind == DETECTOR:
+        arm_ids += leg.ids
+        sites += leg.sites
+        node_id, in_port = leg.ends[-1]
+        start = starts.get(node_id)
+        if start is None:  # a detector or a sink ends the route
             if node_id == target:
                 paths.append(
                     Path(
@@ -304,28 +310,18 @@ def enumerate_paths(net: Network, detector: str | None = None) -> PathEnsemble:
                     )
                 )
             continue
-        # pushed in reverse port order so output port 0 is explored first;
-        # sinks have no output ports
+        # a leg ends at a splitter otherwise; its legs are pushed in reverse
+        # port order so output port 0 is explored first
+        node, legs = start
         n_arms, n_sites = len(arm_ids), len(sites)
-        for port in reversed(range(OUT_PORTS[node.kind])):
-            out_amp = amp  # sources and mirrors relay it unchanged
-            if node.kind == BEAM_SPLITTER:
-                entry = node.scatter[port][in_port]
-                if entry == 0:  # a structurally absent coupling
-                    continue
-                out_amp = amp * entry
-            arm = outgoing[(node_id, port)]
-            stack.append(
-                (
-                    n_arms,
-                    n_sites,
-                    arm,
-                    arm.to_node,
-                    arm.to_port,
-                    out_amp * arm.factor(),
-                    blocked or arm.transmission == 0.0,
-                )
-            )
+        for port in (1, 0):
+            entry = node.scatter[port][in_port]
+            if entry == 0:  # a structurally absent coupling
+                continue
+            leg = legs[port]
+            # the leg's factors in arm order, as the arms pass the amplitude on
+            out_amp = reduce(mul, leg.factors, amp * entry)
+            stack.append((n_arms, n_sites, leg, out_amp, blocked or leg.blocked))
 
     total = sum((p.amplitude for p in paths), 0j)
     return PathEnsemble(

@@ -36,8 +36,8 @@ The JSON report and ``spectrum.csv`` share one formatting of the power.
 A CSV file's text grows from its header by a chunk of rows at a time, so
 little is held beyond it.
 
-A ``Rendered`` value is JSON text made before ``render_json`` meets it,
-which only indents it: a report's echo of a custom network's nodes and
+A ``Rendered`` value writes its own JSON text at the indent where
+``render_json`` meets it: a report's echo of a custom network's nodes and
 arms, written from the parsed records by ``scenario.scenario_echo``.
 """
 
@@ -69,25 +69,29 @@ _JSON_BOOLS = ("false", "true")
 _real, _imag = attrgetter("real"), attrgetter("imag")
 
 
-class Floats(tuple):
-    """Floats formatted once, on first use: a spectrum's power is printed by
-    the JSON report and by ``spectrum.csv`` from the same text."""
+class Floats(np.ndarray):
+    """A float64 array formatted once, on first use: a spectrum's power is
+    printed by the JSON report and by ``spectrum.csv`` from the same text.
+    ``Floats(values)`` views a float64 array without a copy."""
+
+    def __new__(cls, values):
+        return np.asarray(values, dtype=float).view(cls)
 
     @functools.cached_property
     def text(self) -> str:
         """Every value in ``FLOAT_FORMAT``, joined by ", " as in a JSON array."""
-        return _fmt_floats(np.array(self), ", ", "")
+        return _fmt_floats(self.view(np.ndarray), ", ", "")
 
 
 class Rendered:
-    """JSON text made before ``render_json``, laid out as a value at indent 0;
-    ``render_json`` indents it to where it lands.  A report echoes a custom
-    network's nodes and arms this way (``scenario.scenario_echo``)."""
+    """JSON text that ``render_json`` does not make itself: ``write(indent)``
+    writes it as a value at the indent where it lands.  A report echoes a
+    custom network's nodes and arms this way (``scenario.scenario_echo``)."""
 
-    __slots__ = ("text",)
+    __slots__ = ("write",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, write):
+        self.write = write
 
 
 class _ColumnCheckFailed(Exception):
@@ -155,8 +159,7 @@ def _render(value, indent: int) -> str:
     if kind is Floats:
         return "[" + value.text + "]"
     if kind is Rendered:
-        # an encoded string holds no newline, so each newline starts a line
-        return value.text.replace("\n", "\n" + "  " * indent) if indent else value.text
+        return value.write(indent)
     return _render(_builtin(value), indent)
 
 
@@ -435,7 +438,7 @@ def spectral_result(report: SpectralReport) -> dict:
             }
             for p in report.peaks
         ],
-        "power": Floats(report.power.tolist()),
+        "power": Floats(report.power),
     }
 
 
@@ -489,7 +492,7 @@ def spectrum_csv(power) -> str:
     """``power`` may be the ``Floats`` of a spectral report, whose text the
     JSON report has already made."""
     if type(power) is not Floats:
-        power = Floats(np.asarray(power, dtype=float).tolist())
+        power = Floats(power)
     text, k = "bin,power\n", 0
     # about _CSV_CHUNK bins at a time, from the longest text a value can have;
     # appending to the one reference resizes the text in place (in a for loop:

@@ -19,13 +19,15 @@ cycles, unknown site labels) are deferred to network construction.
 Scenario back to a plain document, so parse(render(s)) == s: a record's
 optional keys are left out at their defaults.  A report echoes the
 scenario through ``scenario_echo``, which writes a custom network's nodes
-and arms as JSON text straight from the records, the same bytes that
-``reports.render_json`` makes of ``scenario_doc``.
+and arms as JSON text straight from the records, at the indent where they
+land in the report: the same bytes that ``reports.render_json`` makes of
+``scenario_doc``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from contextlib import contextmanager
@@ -618,13 +620,13 @@ def _arm_shapes(arms) -> list[int]:
     ]
 
 
-def _shape_keys(keys: tuple[str, ...], required: tuple[str, ...]) -> list[tuple[str, ...]]:
+def _shape_keys(keys: tuple[str, ...], required: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     """The keys an echo writes, for each shape."""
     optional = keys[len(required) :]
-    return [
+    return tuple(
         required + tuple(k for i, k in enumerate(optional) if shape >> i & 1)
         for shape in range(1 << len(optional))
-    ]
+    )
 
 
 _NODE_SHAPE_KEYS = _shape_keys(_NODE_KEYS, _NODE_REQUIRED)
@@ -647,21 +649,26 @@ _ARM_FIELDS = {
     "modulation": lambda a: {"delta": a.modulation.delta, "bin": a.modulation.bin},
 }
 
-# each key's slot in the text writer's templates, for a record in an array
-# at indent 0: the record at indent 1, its values at indent 2
-_SLOTS = {
-    "id": "%s",
-    "kind": "%s",
-    "label": "%s",
-    "scatter": _lines("[", [_lines("[", [_complex_template(4)] * 2, "]", 3)] * 2, "]", 2),
-    "from": "[%s, %d]",
-    "to": "[%s, %d]",
-    "phase": FLOAT_FORMAT,
-    "transmission": FLOAT_FORMAT,
-    "modulation": _record_template(("delta", "bin"), (FLOAT_FORMAT, "%d"), 2),
-}
-_NODE_TEMPLATES = [_record_template(k, [_SLOTS[x] for x in k], 1) for k in _NODE_SHAPE_KEYS]
-_ARM_TEMPLATES = [_record_template(k, [_SLOTS[x] for x in k], 1) for k in _ARM_SHAPE_KEYS]
+
+@functools.lru_cache(maxsize=64)  # one entry per record kind and indent
+def _echo_templates(shape_keys: tuple, indent: int) -> list[str]:
+    """The text writer's template for each shape of ``shape_keys``
+    (``_NODE_SHAPE_KEYS`` or ``_ARM_SHAPE_KEYS``), for a record in an array
+    at ``indent``: the record at ``indent + 1``, its values one deeper."""
+    slots = {
+        "id": "%s",
+        "kind": "%s",
+        "label": "%s",
+        "scatter": _lines(
+            "[", [_lines("[", [_complex_template(indent + 4)] * 2, "]", indent + 3)] * 2, "]", indent + 2
+        ),
+        "from": "[%s, %d]",
+        "to": "[%s, %d]",
+        "phase": FLOAT_FORMAT,
+        "transmission": FLOAT_FORMAT,
+        "modulation": _record_template(("delta", "bin"), (FLOAT_FORMAT, "%d"), indent + 2),
+    }
+    return [_record_template(keys, [slots[k] for k in keys], indent + 1) for keys in shape_keys]
 
 
 def _record_docs(section: NetworkSection) -> tuple[list[dict], list[dict]]:
@@ -678,11 +685,13 @@ def _record_docs(section: NetworkSection) -> tuple[list[dict], list[dict]]:
     )
 
 
-def _array_text(templates: list[str], shapes: list[int], args: list) -> Rendered:
-    """One template per record, by its shape, filled by one ``%`` call."""
+def _array_text(shape_keys: tuple, shapes: list[int], args: list, indent: int) -> str:
+    """An array at ``indent``: one template per record, by its shape, filled
+    by one ``%`` call."""
     if not shapes:
-        return Rendered("[]")
-    return Rendered(_lines("[", map(templates.__getitem__, shapes), "]", 0) % tuple(args))
+        return "[]"
+    templates = _echo_templates(shape_keys, indent)
+    return _lines("[", map(templates.__getitem__, shapes), "]", indent) % tuple(args)
 
 
 def _record_texts(section: NetworkSection) -> tuple:
@@ -726,8 +735,9 @@ def _record_texts(section: NetworkSection) -> tuple:
                 floats.append(a.modulation.delta)
     if not all(map(math.isfinite, floats)):
         return _record_docs(section)
-    return _array_text(_NODE_TEMPLATES, node_shapes, node_args), _array_text(
-        _ARM_TEMPLATES, arm_shapes, arm_args
+    return (
+        Rendered(functools.partial(_array_text, _NODE_SHAPE_KEYS, node_shapes, node_args)),
+        Rendered(functools.partial(_array_text, _ARM_SHAPE_KEYS, arm_shapes, arm_args)),
     )
 
 

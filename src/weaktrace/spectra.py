@@ -276,12 +276,12 @@ def run_spectral_experiment(
         xbar = xbar + rng.normal(0.0, noise.std, size=xbar.size)
     power = spectrum(xbar)
 
-    site_bins = {sm.bin for sm in plan.sites}
-    off = np.array(
-        [b for b in range(1, plan.samples // 2) if b not in site_bins],
-        dtype=np.intp,
-    )
-    median = float(np.median(power[off])) if off.size else 0.0
+    # the interior bins below Nyquist that no probe drives
+    half = plan.samples // 2
+    off = np.ones(half, dtype=bool)
+    off[0] = False
+    off[[sm.bin for sm in plan.sites]] = False
+    median = float(np.median(power[:half][off])) if off.any() else 0.0
     floor = max(NOISE_FLOOR_FACTOR * median, ABSENT_POWER_TOL)
 
     peaks = tuple(

@@ -311,7 +311,8 @@ def test_negative_modulation_depth_rejected(std_net):
 
 def test_topological_order_respects_arms(std_net):
     rng = np.random.default_rng(7)
-    for net in [std_net] + [random_layered_network(rng) for _ in range(20)]:
+    nets = [std_net, apply_block(std_net, "A", "C")] + [random_layered_network(rng) for _ in range(20)]
+    for net in nets:
         pos = {n.id: i for i, n in enumerate(net.topological_order())}
         assert len(pos) == len(net.nodes)
         for arm in net.arms:
@@ -319,6 +320,26 @@ def test_topological_order_respects_arms(std_net):
         assert net.outgoing() == {(a.from_node, a.from_port): a for a in net.arms}
         for n in net.nodes:
             assert net.node_map()[n.id] is n
+
+        # the legs take each arm once: from a port of the source, a splitter
+        # or an unfed mirror, through fed mirrors, to a node that is not one
+        nodes, arms = net.node_map(), {a.id: a for a in net.arms}
+        fed = {a.to_node for a in net.arms}
+        taken = []
+        for node_id, (node, ports) in net.legs().items():
+            assert node.kind in (SOURCE, BEAM_SPLITTER) or node.kind == MIRROR and node_id not in fed
+            for port, leg in enumerate(ports):
+                legs_arms = [arms[i] for i in leg.ids]
+                assert (legs_arms[0].from_node, legs_arms[0].from_port) == (node_id, port)
+                assert leg.ends == [(a.to_node, a.to_port) for a in legs_arms]
+                assert [nodes[n].kind for n, _ in leg.ends[:-1]] == [MIRROR] * (len(leg.ends) - 1)
+                assert nodes[leg.ends[-1][0]].kind != MIRROR
+                assert list(map(repr, leg.factors)) == [repr(a.factor()) for a in legs_arms]
+                assert leg.sites == [a.label for a in legs_arms if a.label is not None]
+                assert leg.blocked == any(a.transmission == 0.0 for a in legs_arms)
+                taken += leg.ids
+        assert sorted(taken) == sorted(arms)
+        assert list(net.legs()) == [n.id for n in net.topological_order() if n.id in net.legs()]
 
 
 def test_outgoing_is_read_only(std_net):

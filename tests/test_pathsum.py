@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import node_passes
 from conftest import path_by_sites
 from weaktrace import (
     amplitude_split,
@@ -260,6 +261,97 @@ def test_sweeps_are_the_unprobed_signature_pass():
             assert abs(pathsum._sweep_backward(net, det)[(net.source, 0)] - amp) < 1e-12, seed
 
 
+def _mirror_runs(depth=6):
+    """Three networks whose legs run through several mirrors: an unfed
+    mirror run feeding a splitter's second input, an arm of transmission
+    0 in the middle of a leg, and a network with two detectors."""
+    h = hadamard()
+
+    def chain(name, start, end, labels=(), blocked=(), unfed=False):
+        # ``depth`` mirrors from the port ``start`` to the port ``end``; with
+        # ``unfed``, no arm feeds the first mirror and ``start`` is unused
+        mirrors = [Node(f"{name}{i}", MIRROR) for i in range(depth)]
+        ports = [(m.id, 0) for m in mirrors]
+        froms, tos = (ports, ports[1:] + [end]) if unfed else ([start] + ports, ports + [end])
+        arms = [
+            Arm(
+                f"{name}_a{i}",
+                *src,
+                *dst,
+                label=f"{name}{i}" if i in labels else None,
+                static_phase=0.3 * i - 0.5,
+                transmission=0.0 if i in blocked else 1.0,
+            )
+            for i, (src, dst) in enumerate(zip(froms, tos))
+        ]
+        return mirrors, arms
+
+    base = [Node("SRC", SOURCE), Node("J0", BEAM_SPLITTER, scatter=h), Node("J1", BEAM_SPLITTER, scatter=h)]
+    nets = []
+
+    # an unfed run into J0's second input: that input carries no route,
+    # but the backward sweep reaches the run
+    unfed_m, unfed_a = chain("u", None, ("J0", 1), labels=(0, 3), unfed=True)
+    up_m, up_a = chain("p", ("J0", 0), ("J1", 0), labels=(2,))
+    lo_m, lo_a = chain("q", ("J0", 1), ("J1", 1), labels=(1,))
+    nodes = base + unfed_m + up_m + lo_m + [Node("D", DETECTOR), Node("K", SINK)]
+    arms = [Arm("in", "SRC", 0, "J0", 0), *unfed_a, *up_a, *lo_a]
+    arms += [Arm("out", "J1", 0, "D", 0), Arm("dump", "J1", 1, "K", 0)]
+    nets.append(build_network(nodes, arms))
+
+    # an arm of transmission 0 in the middle of the upper leg
+    up_m, up_a = chain("p", ("J0", 0), ("J1", 0), labels=(0, 5), blocked=(3,))
+    lo_m, lo_a = chain("q", ("J0", 1), ("J1", 1), labels=(2,))
+    nodes = base + up_m + lo_m + [Node("D", DETECTOR), Node("K", SINK)]
+    arms = [Arm("in", "SRC", 0, "J0", 0), *up_a, *lo_a]
+    arms += [Arm("out", "J1", 0, "D", 0), Arm("dump", "J1", 1, "K", 0)]
+    nets.append(build_network(nodes, arms))
+
+    # two detectors, each at the end of a mirror run
+    up_m, up_a = chain("p", ("J0", 0), ("J1", 0), labels=(1,))
+    lo_m, lo_a = chain("q", ("J0", 1), ("J1", 1), labels=(4,))
+    d1_m, d1_a = chain("r", ("J1", 0), ("D1", 0), labels=(0,))
+    d2_m, d2_a = chain("s", ("J1", 1), ("D2", 0), labels=(2,))
+    nodes = base + up_m + lo_m + d1_m + d2_m + [Node("D1", DETECTOR), Node("D2", DETECTOR)]
+    arms = [Arm("in", "SRC", 0, "J0", 0), *up_a, *lo_a, *d1_a, *d2_a]
+    nets.append(build_network(nodes, arms[::-1]))
+    return nets
+
+
+def _same(leg_pass, node_pass, where):
+    """Two dicts with the same keys and, key by key, the same repr."""
+    assert leg_pass.keys() == node_pass.keys(), where
+    for key, value in node_pass.items():
+        assert repr(leg_pass[key]) == repr(value), (where, key)
+
+
+def test_leg_passes_are_the_node_by_node_passes():
+    """Each pass takes a leg in one step with the node-by-node arithmetic
+    in its order: the same values, signs of zero included, on random
+    networks, on networks with absent couplings and blocked arms, and on
+    networks whose legs run through several mirrors."""
+    nets = [random_layered_network(np.random.default_rng(seed)) for seed in range(25)]
+    nets += [_with_absent_couplings(np.random.default_rng(5000 + seed))[0] for seed in range(120)]
+    nets += _mirror_runs()
+    for n, net in enumerate(nets):
+        fwd, arm_in = pathsum._sweep_forward(net)
+        ref_fwd, ref_arm_in = node_passes.sweep_forward(net)
+        _same(fwd, ref_fwd, n)
+        _same(arm_in, ref_arm_in, n)
+        for probed in (frozenset(), net.site_labels()):
+            in_amp, arm_maps = pathsum._forward(net, probed)
+            ref_in_amp, ref_arm_maps = node_passes.forward(net, probed)
+            _same(in_amp, ref_in_amp, n)
+            _same(arm_maps, ref_arm_maps, n)
+        for det in net.detectors:
+            _same(pathsum._sweep_backward(net, det), node_passes.sweep_backward(net, det), n)
+            assert repr(enumerate_paths(net, det)) == repr(node_passes.enumerate_paths(net, det)), n
+    unfed, blocked, two = (net.legs() for net in nets[-3:])
+    assert len(unfed["u0"][1][0].ids) == 6
+    assert blocked["J0"][1][0].blocked and not blocked["J0"][1][1].blocked
+    assert len(two["J1"][1][1].ids) == 7
+
+
 def test_route_enumeration_is_bounded(std_net, monkeypatch):
     # the standard network's walk takes 22 steps, sink arrivals included
     monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 22)
@@ -279,16 +371,18 @@ def test_require_sites_names_the_first_unknown_site(std_net):
 
 def test_propagation_is_the_unprobed_signature_pass(std_net):
     # frozen from the scalar forward pass that the signature-carrying pass
-    # replaced; repr pins every bit, signs of zero included
+    # replaced; repr pins every bit, signs of zero included.  The arms come
+    # in leg order, which for the standard network is its arm order.
     assert repr(propagate(std_net)) == "{'D': (0.4999999999999999+0j)}"
     assert repr(arm_input_amplitudes(std_net)) == (
-        "{'in': (1+0j), 'E': (0.7071067811865475+0j), 'C': (0.7071067811865475+0j), "
-        "'E_out': (0.7071067811865475+0j), 'C_out': (0.7071067811865475+0j), "
-        "'A': (0.4999999999999999+0j), 'B': (0.4999999999999999+0j), "
-        "'A_out': (0.4999999999999999+0j), 'B_out': (0.4999999999999999+0j), "
+        "{'in': (1+0j), 'E': (0.7071067811865475+0j), 'E_out': (0.7071067811865475+0j), "
+        "'C': (0.7071067811865475+0j), 'C_out': (0.7071067811865475+0j), "
+        "'A': (0.4999999999999999+0j), 'A_out': (0.4999999999999999+0j), "
+        "'B': (0.4999999999999999+0j), 'B_out': (0.4999999999999999+0j), "
         "'dump1': (0.7071067811865474+0j), 'F': 0j, 'F_out': 0j, "
         "'out': (0.4999999999999999+0j), 'dump2': (-0.4999999999999999+0j)}"
     )
+    assert list(arm_input_amplitudes(std_net)) == [a.id for a in std_net.arms]
     assert signature_amplitudes(std_net, []) == {(): propagate(std_net)["D"]}
 
 

@@ -17,6 +17,7 @@ from weaktrace import reports
 from weaktrace.cli import main
 from weaktrace.errors import NonFiniteResultError
 from weaktrace.scenario import parse_scenario, scenario_doc, scenario_echo
+from weaktrace.spectra import SpectralReport
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 COMMANDS = ("validate", "paths", "weak", "pointer", "spectrum", "block")
@@ -159,6 +160,31 @@ def test_timeseries_csv_holds_one_copy():
     text, peak = traced_peak(reports.timeseries_csv, xbar, rate)
     assert text.startswith("k,xbar,rate\n0,") and text.count("\n") == 2**20 + 1
     assert peak <= sys.getsizeof(text) + 8 * 2**20
+
+
+def test_report_power_is_the_spectrum_array():
+    """A spectral report's power stays the spectrum's float64 array: the
+    2**19 + 1 bins of a 2**20-sample run hold about 4 MB, not the 16 MB of
+    a tuple of floats, and the JSON report and spectrum.csv read its text."""
+    bins = 2**19 + 1
+
+    def section():
+        power = np.random.default_rng(9).random(bins)
+        report = SpectralReport("D", 2 * (bins - 1), 1.0, power, (), 1e-20, 0.25, np.zeros(4), np.ones(4))
+        return reports.spectral_result(report)
+
+    section()  # what numpy imports on first use stays out of the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        power = section()["power"]
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert 8 * bins <= held <= 8 * bins + 2**18
+    assert type(power) is reports.Floats and power.dtype == np.float64 and power.size == bins
+    assert reports.render_json({"power": power}) == '{\n  "power": [' + power.text + "]\n}\n"
+    assert reports.spectrum_csv(power).count("\n") == bins + 1
 
 
 def test_empty_tables_and_arrays():
