@@ -10,13 +10,12 @@ transmission 0: blocking a site sets its arm's transmission to 0.
 
 Networks are immutable.  Edits (blocking a site, changing a transmission)
 produce a new, revalidated instance.  A network keeps the indexes its
-validation built: nodes by id, the arm leaving each output port, arms by
-site label, one topological order, and the legs.  A leg is the run of
-arms from one output port of the source, of a beam splitter or of a
-mirror that no arm feeds, through fed mirrors, up to the next node that
-is not a mirror, with each arm's factor computed once.  Every pass over
-the network reads these indexes, so it is sorted, indexed and cut into
-legs once, when it is built.
+validation built: nodes by id, arms by site label, and the legs.  A leg
+is the run of arms from one output port of the source, of a beam
+splitter or of a mirror that no arm feeds, through fed mirrors, up to
+the next node that is not a mirror, with each arm's factor computed
+once; the legs come in topological order.  Every pass over the network
+reads the legs, so it is sorted and cut into legs once, when it is built.
 """
 
 from __future__ import annotations
@@ -151,9 +150,7 @@ class Network:
     source: str
     detectors: tuple[str, ...]
     _by_id: dict[str, Node] = field(compare=False, repr=False)
-    _outgoing: dict[tuple[str, int], Arm] = field(compare=False, repr=False)
     _by_label: dict[str, Arm] = field(compare=False, repr=False)
-    _order: tuple[Node, ...] = field(compare=False, repr=False)
     _legs: dict[str, tuple[Node, tuple[Leg, ...]]] = field(compare=False, repr=False)
 
     def labeled_arm(self, label: str) -> Arm:
@@ -172,14 +169,6 @@ class Network:
     def node_map(self) -> Mapping[str, Node]:
         """Each node by id, read-only."""
         return MappingProxyType(self._by_id)
-
-    def outgoing(self) -> Mapping[tuple[str, int], Arm]:
-        """The arm leaving each (node id, output port), read-only."""
-        return MappingProxyType(self._outgoing)
-
-    def topological_order(self) -> tuple[Node, ...]:
-        """Nodes sorted so every arm points forward."""
-        return self._order
 
     def legs(self) -> Mapping[str, tuple[Node, tuple[Leg, ...]]]:
         """(node, its legs by output port) for each node that starts legs:
@@ -330,9 +319,7 @@ def build_network(nodes, arms) -> Network:
         stuck = sorted(node_id for node_id, left in indeg.items() if left)
         raise CyclicGraphError(f"cycle through nodes {stuck}")
 
-    return Network(
-        nodes, arms, sources[0].id, detectors, by_id, outgoing, by_label, tuple(order), legs
-    )
+    return Network(nodes, arms, sources[0].id, detectors, by_id, by_label, legs)
 
 
 def standard_nested_mzi(bs1=None, bs2=None, bs3=None, bs4=None) -> Network:

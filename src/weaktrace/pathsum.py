@@ -85,13 +85,13 @@ def _forward(net: Network, probed=frozenset()):
     each (node, port) and entering each arm (before its own factor applies).
 
     Each map-entry update is one step; past ``MAX_ROUTE_STEPS`` steps the
-    pass raises TooManyRoutesError.
+    pass raises TooManyRoutesError.  A probed site that no arm carries
+    raises UnknownLabelError.
     """
     in_amp: dict[tuple[str, int], dict[tuple[str, ...], complex]] = {}
     arm_in: dict[str, dict[tuple[str, ...], complex]] = {}
-    labels = net.site_labels()
     # the site each probed arm adds to a signature
-    probed_arms = {net.labeled_arm(s).id: (s,) for s in probed if s in labels}
+    probed_arms = {net.labeled_arm(s).id: (s,) for s in probed}
     steps = 0
     for node, legs in net.legs().values():
         if node.kind == BEAM_SPLITTER:

@@ -8,20 +8,21 @@ Identical inputs therefore produce byte-identical documents.
 
 Repeated records are rendered one column at a time.  A run is a list or
 a dict of at least ``_MIN_RUN`` values of one type, dict, list or
-complex: the route tables, ``weak_values`` and ``arm_input_amplitudes``.
-Smaller or mixed containers are cheaper value by value.  The dicts of a
-run are grouped by key tuple, and each key's values form a column that is
-checked and formatted in one pass: strings are encoded by one mapped
-call, a float column gets one finiteness check and a ``FLOAT_FORMAT``
-slot, exact ints a ``%d`` slot, complex numbers a ``re`` and an ``im``
-column, nested records and fixed-length lists (a 2x2 matrix) are split
-into their own columns, and variable-length string lists (a route's
-``arms``) are joined item by item.  One ``%`` template per record shape and indent
-describes a record; the templates of a run, in item order, are filled by
-one ``%`` call.  Anything else -- a one-item column, numpy scalars,
-subclasses of built-in types, ``None``, columns of mixed kinds -- is
-rendered value by value.  Either way the text is the same, byte for
-byte, so the report format does not change.
+complex: the route tables, ``weak_values``, ``two_state`` and
+``arm_input_amplitudes``.  Smaller or mixed containers are cheaper value
+by value.  A run's dicts share one non-empty key tuple, and each key's
+values form a column of one kind that is checked and formatted in one
+pass: strings are encoded by one mapped call, a float column gets one
+finiteness check and a ``FLOAT_FORMAT`` slot, exact ints a ``%d`` slot,
+complex numbers a ``re`` and an ``im`` column, nested records of one key
+tuple their own columns, and string lists (a route's ``arms``) are
+joined item by item.  One ``%`` template at the run's indent describes
+every item, and one ``%`` call fills it for the whole run.  A column of
+anything else -- numpy scalars, subclasses of built-in types, ``None``,
+mixed kinds, lists of other values -- is rendered value by value, and a
+run of dicts of several key tuples, or of lists that are not all string
+lists, is no run.  Either way the text is the same, byte for byte, so
+the report format does not change.
 
 NaN and inf are refused with ``NonFiniteResultError``, and a non-string
 key with ``TypeError``; either names the first bad value in document
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -178,53 +179,31 @@ _MIN_RUN = 8
 
 
 def _render_run(values, indent: int, keys=None) -> str | None:
-    """A list's items, or a dict's values with the dict as ``keys``,
-    rendered one column at a time.
+    """A list's items, or a dict's values with the dict as ``keys``, written
+    with one template for every item and filled by one ``%`` call.
 
-    ``None`` when they are not a run (fewer than ``_MIN_RUN`` values, or
-    values of more than one type or of a type outside ``_RUN_KINDS``), and
-    when a check fails: the caller then renders value by value, and the
-    first bad value in document order raises."""
+    ``None`` when they are not a run (fewer than ``_MIN_RUN`` values,
+    values of more than one type or of a type outside ``_RUN_KINDS``, or
+    values of no column kind), and when a check fails or a key is not a
+    string: the caller then renders value by value, and the first bad
+    value in document order raises."""
     kinds = set(map(type, values))
     if len(values) < _MIN_RUN or len(kinds) != 1 or not kinds <= _RUN_KINDS:
         return None
     try:
-        return _fill_run(list(values), indent, keys)
+        column = _column(list(values), indent + 1)
+        if column is None:
+            return None
+        template, columns = column
+        opening, closing = "[", "]"
+        if keys is not None:
+            opening, closing = "{", "}"
+            template, columns = "%s: " + template, [list(map(_encode_str, keys)), *columns]
+        return _lines(opening, repeat(template, len(values)), closing, indent) % tuple(
+            chain.from_iterable(zip(*columns))
+        )
     except (_ColumnCheckFailed, NonFiniteResultError, TypeError, ValueError):
         return None
-
-
-def _fill_run(values: list, indent: int, keys) -> str:
-    """Dict items are grouped by key tuple, one template per group; the
-    templates, and the rows that fill them, are laid out in item order and
-    filled with one ``%`` call."""
-    if keys is None:
-        opening, closing, slot, head = "[", "]", "", []
-    else:
-        keys = list(keys)
-        _check_keys(keys)
-        opening, closing, slot, head = "{", "}", "%s: ", [list(map(_encode_str, keys))]
-    shapes = list(map(tuple, values)) if type(values[0]) is dict else [None] * len(values)
-    groups = dict.fromkeys(shapes)
-    templates, rows = {}, {}
-    for shape in groups:
-        if len(groups) == 1:
-            members, columns = values, list(head)
-        else:
-            mask = list(map(shape.__eq__, shapes))
-            members, columns = list(compress(values, mask)), [list(compress(c, mask)) for c in head]
-        template, value_columns = _column(members, indent + 1, shape)
-        columns += value_columns
-        templates[shape] = slot + template
-        rows[shape] = zip(*columns) if columns else repeat(())
-    return _lines(opening, map(templates.__getitem__, shapes), closing, indent) % tuple(
-        chain.from_iterable(map(next, map(rows.__getitem__, shapes)))
-    )
-
-
-def _check_keys(keys) -> None:
-    if set(map(type, keys)) != {str} and not all(isinstance(k, str) for k in keys):
-        raise _ColumnCheckFailed
 
 
 def _check_finite(values: list) -> None:
@@ -243,26 +222,6 @@ def _complex_template(indent: int) -> str:
     return _record_template(("re", "im"), (FLOAT_FORMAT, FLOAT_FORMAT), indent)
 
 
-def _record_column(values: list, indent: int, keys: tuple) -> tuple[str, list[list]]:
-    """``_column`` of dicts that all have the key tuple ``keys``."""
-    if not keys:
-        return "{}", []
-    _check_keys(keys)
-    templates, columns = _columns((map(itemgetter(key), values) for key in keys), indent + 1)
-    return _record_template(keys, templates, indent), columns
-
-
-def _columns(parts, indent: int) -> tuple[list[str], list[list]]:
-    """The templates of ``parts``, each a column of values, and all the
-    argument columns that fill them."""
-    templates, columns = [], []
-    for part in parts:
-        template, cols = _column(list(part), indent)
-        templates.append(template)
-        columns += cols
-    return templates, columns
-
-
 def _str_lists(values: list) -> list[str]:
     """Each list of strings in ``values`` on one line."""
     raw = "".join(chain.from_iterable(values))
@@ -271,15 +230,11 @@ def _str_lists(values: list) -> list[str]:
     return ["[" + ", ".join(map(_encode_str, v)) + "]" for v in values]
 
 
-def _column(values: list, indent: int, shape: tuple | None = None) -> tuple[str, list[list]]:
+def _column(values: list, indent: int) -> tuple[str, list[list]] | None:
     """The ``%`` template of one item of ``values`` at ``indent``, and the
-    columns of arguments that fill it, one entry per item.  ``shape`` is
-    the key tuple of ``values`` when the caller knows they are dicts of one
-    shape."""
-    if len(values) == 1:
-        return "%s", [[_render(values[0], indent)]]
-    if shape is not None:
-        return _record_column(values, indent, shape)
+    columns of arguments that fill it, one entry per item; ``None`` unless
+    the values are of one column kind: str, float, int, bool, complex, a
+    record of one non-empty key tuple, or a list of strings."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
@@ -298,21 +253,19 @@ def _column(values: list, indent: int, shape: tuple | None = None) -> tuple[str,
         return _complex_template(indent), [re, im]
     if kind is dict:
         shapes = set(map(tuple, values))
-        if len(shapes) == 1:
-            return _record_column(values, indent, shapes.pop())
-    elif kind is list:
-        items = set(map(type, chain.from_iterable(values)))
-        if items <= {str}:
-            return "%s", [_str_lists(values)]
-        lengths = set(map(len, values))
-        if len(lengths) == 1 and lengths.pop() <= len(values):
-            scalar = [issubclass(k, _SCALARS) for k in items]
-            if all(scalar) or not any(scalar):
-                templates, columns = _columns(zip(*values), indent + 1)
-                if all(scalar):
-                    return "[" + ", ".join(templates) + "]", columns
-                return _lines("[", templates, "]", indent), columns
-    return "%s", [[_render(v, indent) for v in values]]
+        keys = shapes.pop() if len(shapes) == 1 else None
+        if keys:  # _record_template refuses a key that is not a string
+            templates, columns = [], []
+            for key in keys:
+                field = list(map(itemgetter(key), values))
+                column = _column(field, indent + 1)
+                template, cols = column or ("%s", [[_render(v, indent + 1) for v in field]])
+                templates.append(template)
+                columns += cols
+            return _record_template(keys, templates, indent), columns
+    elif kind is list and set(map(type, chain.from_iterable(values))) <= {str}:
+        return "%s", [_str_lists(values)]
+    return None
 
 
 def _builtin(value):

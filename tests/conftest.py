@@ -25,6 +25,7 @@ from weaktrace.netgraph import (
     hadamard,
 )
 from weaktrace.errors import NonFiniteResultError
+from node_passes import arms_by_port, topological_order
 
 
 @pytest.fixture
@@ -120,15 +121,39 @@ def route_amplitude_split(ens, site):
     return ens.total - a1, a1
 
 
+def hadamard_cascade_scenario(stages: int) -> dict:
+    """Splitters J0..J<stages>, each joined to the next by two labeled arms:
+    2**stages routes reach D.  An even number of Hadamards is the identity,
+    so after every joint only port 0 can still reach D: the upper arms have
+    weak value 1 and the lower ones 0."""
+    h = 2**-0.5
+    nodes = [{"id": "SRC", "kind": "source"}]
+    nodes += [
+        {"id": f"J{j}", "kind": "beam_splitter", "scatter": [[h, h], [h, -h]]}
+        for j in range(stages + 1)
+    ]
+    nodes += [{"id": "D", "kind": "detector"}, {"id": "K", "kind": "sink"}]
+    arms = [{"id": "in", "from": ["SRC", 0], "to": ["J0", 0]}]
+    for s in range(stages):
+        for port, side in ((0, "u"), (1, "d")):
+            arms.append(
+                {"id": f"s{s}{side}", "from": [f"J{s}", port], "to": [f"J{s + 1}", port],
+                 "label": f"s{s}{side}"}
+            )
+    arms.append({"id": "out", "from": [f"J{stages}", 0], "to": ["D", 0]})
+    arms.append({"id": "dump", "from": [f"J{stages}", 1], "to": ["K", 0]})
+    return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
+
+
 def two_state_split(net, site, detector):
     """(A1, total) oracle in the two-state form: with fwd the amplitude the
     source sends into a point and bwd the amplitude a point sends on to the
     detector, A1 = fwd(arm) * factor(arm) * bwd(arm's end) for the arm
     carrying ``site``, and total = bwd at the source.  One forward loop and
-    one backward loop over the topological order, each splitter applied
-    transposed on the way back; nothing from ``pathsum``."""
-    order = net.topological_order()
-    outgoing = net.outgoing()
+    one backward loop over the nodes sorted by ``node_passes``, each
+    splitter applied transposed on the way back; nothing from ``pathsum``."""
+    order = topological_order(net)
+    outgoing = arms_by_port(net)
     fwd_in, fwd_out = {}, {}  # amplitude at each (node, input port) / into each (node, output port)
     for node in order:
         ins = [fwd_in.get((node.id, q), 0j) for q in range(2)]

@@ -1,12 +1,13 @@
 """Node-by-node passes: the reference for ``pathsum``'s leg passes.
 
 The forward sweep, the backward sweep, the signature pass and the route
-walk taken one node at a time over the stored topological order (one
-stack entry per arm for the walk), dispatching on each node's kind and
-looking up each arm and its factor as they go.  ``pathsum`` takes a leg
-at a time with the same arithmetic in the same order, so the two must
-agree repr for repr, key by key: values and signs of zero, not dict
-order.  The CI deep-chain step compares them too.
+walk taken one node at a time (one stack entry per arm for the walk),
+dispatching on each node's kind and looking up each arm and its factor
+as they go.  They sort the nodes and index the arms by output port
+themselves, from ``Network.nodes`` and ``Network.arms``, not from the
+legs.  ``pathsum`` takes a leg at a time with the same arithmetic in the
+same order, so the two must agree repr for repr, key by key: values and
+signs of zero, not dict order.  The CI deep-chain step compares them too.
 """
 
 from __future__ import annotations
@@ -17,14 +18,36 @@ from weaktrace.netgraph import BEAM_SPLITTER, DETECTOR, MIRROR, OUT_PORTS, SOURC
 from weaktrace.pathsum import Path, PathEnsemble, resolve_detector
 
 
+def topological_order(net):
+    """The nodes sorted so that every arm points forward (Kahn's algorithm)."""
+    nodes = net.node_map()
+    indeg = dict.fromkeys(nodes, 0)
+    ends = {}
+    for arm in net.arms:
+        indeg[arm.to_node] += 1
+        ends.setdefault(arm.from_node, []).append(arm.to_node)
+    order = [n for n in net.nodes if not indeg[n.id]]
+    for node in order:  # the list grows as nodes become ready
+        for to in ends.get(node.id, ()):
+            indeg[to] -= 1
+            if not indeg[to]:
+                order.append(nodes[to])
+    return order
+
+
+def arms_by_port(net):
+    """The arm leaving each (node id, output port)."""
+    return {(arm.from_node, arm.from_port): arm for arm in net.arms}
+
+
 def forward(net, probed=frozenset()):
     """``pathsum._forward``: (in_amp, arm_in), one map per port and arm of
     {signature: summed amplitude}; raises past ``MAX_ROUTE_STEPS`` map updates."""
-    outgoing = net.outgoing()
+    outgoing = arms_by_port(net)
     in_amp = {}
     arm_in = {}
     steps = 0
-    for node in net.topological_order():
+    for node in topological_order(net):
         if node.kind == SOURCE:
             outs = [{(): 1.0 + 0j}]
         elif node.kind == BEAM_SPLITTER:
@@ -60,11 +83,11 @@ def forward(net, probed=frozenset()):
 def sweep_forward(net):
     """``pathsum._sweep_forward``: (fwd, arm_in), one scalar per reached
     input port and per arm."""
-    outgoing = net.outgoing()
+    outgoing = arms_by_port(net)
     fwd = {}
     arm_in = {}
     get = fwd.get
-    for node in net.topological_order():
+    for node in topological_order(net):
         kind = node.kind
         if kind == MIRROR:
             outs = (get((node.id, 0)),)
@@ -93,10 +116,10 @@ def sweep_forward(net):
 def sweep_backward(net, detector):
     """``pathsum._sweep_backward``: the amplitude each point sends on to
     ``detector``, keyed by (node, input port), the source by port 0."""
-    outgoing = net.outgoing()
+    outgoing = arms_by_port(net)
     bwd = {(detector, 0): 1.0 + 0j}
     get = bwd.get
-    for node in reversed(net.topological_order()):
+    for node in reversed(topological_order(net)):
         kind = node.kind
         if kind == MIRROR or kind == SOURCE:
             arm = outgoing[(node.id, 0)]
@@ -116,7 +139,7 @@ def enumerate_paths(net, detector=None):
     first, one stack entry per arm; raises past ``MAX_ROUTE_STEPS`` entries."""
     target = resolve_detector(net, detector)
     nodes = net.node_map()
-    outgoing = net.outgoing()
+    outgoing = arms_by_port(net)
     paths = []
     arm_ids = []
     sites = []

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_sweeps
+from conftest import count_sweeps, hadamard_cascade_scenario
 from weaktrace import cli, pathsum, reports, spectra, weakval
 from weaktrace.cli import main
 from weaktrace.errors import NetworkError, NonFiniteResultError
@@ -646,30 +646,6 @@ def test_weak_normalises_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert json.loads(out)["result"]["weak_values"]["C"] == {"re": 1, "im": 0}
-
-
-def hadamard_cascade_scenario(stages: int) -> dict:
-    """Splitters J0..J<stages>, each joined to the next by two labeled arms:
-    2**stages routes reach D.  An even number of Hadamards is the identity,
-    so after every joint only port 0 can still reach D: the upper arms have
-    weak value 1 and the lower ones 0."""
-    h = 2**-0.5
-    nodes = [{"id": "SRC", "kind": "source"}]
-    nodes += [
-        {"id": f"J{j}", "kind": "beam_splitter", "scatter": [[h, h], [h, -h]]}
-        for j in range(stages + 1)
-    ]
-    nodes += [{"id": "D", "kind": "detector"}, {"id": "K", "kind": "sink"}]
-    arms = [{"id": "in", "from": ["SRC", 0], "to": ["J0", 0]}]
-    for s in range(stages):
-        for port, side in ((0, "u"), (1, "d")):
-            arms.append(
-                {"id": f"s{s}{side}", "from": [f"J{s}", port], "to": [f"J{s + 1}", port],
-                 "label": f"s{s}{side}"}
-            )
-    arms.append({"id": "out", "from": [f"J{stages}", 0], "to": ["D", 0]})
-    arms.append({"id": "dump", "from": [f"J{stages}", 1], "to": ["K", 0]})
-    return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
 
 
 def test_pointer_has_no_route_limit(tmp_path, capsys):

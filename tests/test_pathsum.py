@@ -367,6 +367,9 @@ def test_require_sites_names_the_first_unknown_site(std_net):
     signature_amplitudes(std_net, ["A", "E"])
     with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
         signature_amplitudes(std_net, iter(["A", "Z", "Y"]))
+    # the signature pass itself refuses a probed site that no arm carries
+    with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
+        pathsum._forward(std_net, frozenset({"A", "Z"}))
 
 
 def test_propagation_is_the_unprobed_signature_pass(std_net):

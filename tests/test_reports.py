@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_csv, reference_render_json
+from conftest import hadamard_cascade_scenario, reference_csv, reference_render_json
 from weaktrace import reports
 from weaktrace.cli import main
 from weaktrace.errors import NonFiniteResultError
@@ -368,8 +368,8 @@ def test_columns_match_reference_on_random_documents(seed):
 
 
 def test_random_documents_hold_long_runs():
-    """The generator above reaches the column path: runs of same-shaped
-    records with optional keys, dict runs and transposed matrices."""
+    """The generator above reaches the column path: runs of records of one
+    key tuple, records nested in them, string lists and dict runs."""
     calls = []
     render = reports._render_run
 
@@ -435,6 +435,39 @@ def test_chain_reports_match_reference(tmp_path, capsys, monkeypatch, command):
     plain = plain_envelope(docs[0][0], path)
     assert len(plain["scenario"]["network"]["arms"]) == 1005
     assert capsys.readouterr().out == reference_render_json(plain)
+
+
+def test_cli_tables_take_the_column_path(tmp_path, capsys, monkeypatch):
+    """Every run the CLI writes, of the route tables, ``weak_values``,
+    ``two_state`` and ``arm_input_amplitudes``, is written by one template."""
+    calls, docs = [], []
+    render_run, render_json = reports._render_run, reports.render_json
+
+    def spy(values, indent, keys=None):
+        text = render_run(values, indent, keys)
+        calls.append((values if keys is None else keys, text))
+        return text
+
+    monkeypatch.setattr(reports, "_render_run", spy)
+    monkeypatch.setattr(reports, "render_json", lambda doc: docs.append(doc) or render_json(doc))
+    for name, scn in (("chain", chain_scenario(1000)), ("cascade", hadamard_cascade_scenario(4))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scn))
+        for command in ("validate", "paths", "weak"):
+            assert main([command, str(path), "--quiet"]) == 0
+    capsys.readouterr()
+
+    def is_run(values):
+        kinds = set(map(type, values.values() if type(values) is dict else values))
+        return len(values) >= reports._MIN_RUN and len(kinds) == 1 and kinds <= reports._RUN_KINDS
+
+    runs = [(values, text) for values, text in calls if is_run(values)]
+    assert [values for values, text in runs if text is None] == []
+    written = {id(values) for values, _ in runs}
+    names = ("paths", "weak_values", "two_state", "arm_input_amplitudes")
+    tables = [(key, doc["result"][key]) for doc in docs for key in names if key in doc["result"]]
+    assert {key for key, table in tables if is_run(table)} == set(names)
+    assert all(id(table) in written for _, table in tables if is_run(table))
 
 
 # characters that a template would misread ("%"), that JSON escapes, and

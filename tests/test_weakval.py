@@ -122,7 +122,7 @@ def test_global_phase_leaves_weak_values_alone(phi):
     from weaktrace import standard_nested_mzi
 
     net = standard_nested_mzi()
-    arm_in = net.outgoing()[("SRC", 0)]
+    arm_in = next(a for a in net.arms if a.id == "in")
     rotated = tuple(
         dataclasses.replace(a, static_phase=phi) if a.id == "in" else a
         for a in net.arms
