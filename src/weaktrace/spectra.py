@@ -21,6 +21,7 @@ builds may differ in the last digits of the powers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,6 +158,21 @@ def readout_timeseries(
         ``rate`` is normalized to the unblocked static click probability
         scale, i.e. it equals |total amplitude|^2 when all depths vanish.
     """
+    return _readout(net, plan, sigma, detector, functools.partial(_waves, plan))
+
+
+def _waves(plan: ModulationPlan) -> np.ndarray:
+    """Per-site displacement waveforms in units of sigma, shape (samples, sites)."""
+    n = plan.samples
+    deltas = np.array([sm.delta for sm in plan.sites], dtype=float)
+    bins = np.array([sm.bin for sm in plan.sites], dtype=float)
+    k = np.arange(n, dtype=float)
+    return deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
+
+
+def _readout(net: Network, plan: ModulationPlan, sigma: float, detector: str | None, waves):
+    """``readout_timeseries``, where ``waves()`` gives the plan's ``_waves``
+    table; it is called only once the readout has passed its bounds."""
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ValueError(f"pointer width must be positive, got {sigma!r}")
     target = resolve_detector(net, detector)
@@ -177,12 +193,7 @@ def readout_timeseries(
         )
 
     member = np.array([[sm.site in sig for sm in plan.sites] for sig in classes], dtype=float)
-    deltas = np.array([sm.delta for sm in plan.sites], dtype=float)
-    bins = np.array([sm.bin for sm in plan.sites], dtype=float)
-    k = np.arange(n, dtype=float)
-    # per-site displacement waveforms in units of sigma, shape (n, n_sites)
-    waves = deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
-    xbar, rate = post_selected_mean(list(classes.values()), waves @ member.T)
+    xbar, rate = post_selected_mean(list(classes.values()), waves() @ member.T)
     xbar *= sigma
     return xbar, rate
 
@@ -271,6 +282,11 @@ def run_spectral_experiment(
     """
     target = resolve_detector(net, detector)
     xbar, rate = readout_timeseries(net, plan, sigma, target)
+    return _analyze(plan, sigma, noise, target, xbar, rate)
+
+
+def _analyze(plan, sigma, noise, target, xbar, rate) -> SpectralReport:
+    """The spectral report of a readout: noise, spectrum, floor and peaks."""
     if noise is not None and noise.std > 0.0:
         rng = np.random.default_rng(noise.seed)
         xbar = xbar + rng.normal(0.0, noise.std, size=xbar.size)
@@ -348,12 +364,16 @@ def run_blocking_suite(
     a degenerate baseline raises DegeneratePointerError naming it.
     """
     target = resolve_detector(net, detector)
+    # blocking an arm leaves the plan alone, so every configuration reads
+    # the same waveform table, made once the first readout passes its bounds
+    waves = functools.cache(functools.partial(_waves, plan))
     configs = []
     variants = [("baseline", None)] + [(f"block_{s}", s) for s in block_sites]
     for name, site in variants:
         net_c = apply_block(net, site) if site is not None else net
         try:
-            report = run_spectral_experiment(net_c, plan, sigma, noise=None, detector=target)
+            xbar, rate = _readout(net_c, plan, sigma, target, waves)
+            report = _analyze(plan, sigma, None, target, xbar, rate)
         except DegeneratePointerError as exc:
             if site is None:
                 raise DegeneratePointerError(f"configuration {name!r}: {exc}") from exc

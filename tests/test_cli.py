@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -763,6 +764,18 @@ def test_block_makes_one_forward_pass_per_configuration(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_block_makes_one_waveform_table(capsys, monkeypatch):
+    # blocking an arm leaves the plan alone: the three configurations share
+    # one table of per-site sines, as a single spectrum run has its own
+    tables = []
+    real = np.sin
+    monkeypatch.setattr(np, "sin", lambda *a, **kw: tables.append(1) or real(*a, **kw))
+    for command in ("block", "spectrum"):
+        tables.clear()
+        assert run(capsys, [command, str(SCENARIOS / "standard.json")])[0] == 0
+        assert len(tables) == 1, command
+
+
 # a repeated site ran its configuration twice, and the second pair of CSV
 # files overwrote the first while the note still counted both
 def test_duplicate_block_site_is_schema_error(tmp_path, capsys):
@@ -804,3 +817,122 @@ def test_parser_is_built_once(tmp_path, capsys):
     first = run(capsys, ["validate", scn])
     assert run(capsys, ["validate", scn, "--quiet"]) == first
     assert run(capsys, ["validate", scn]) == first
+
+
+NON_UNITARY = '{"network": {"kind": "standard", "scatter": {"BS2": [[1, 0], [0.5, 1]]}}}'
+# blocking C leaves D dark, so the weak values' total amplitude vanishes
+DARK_DETECTOR = '{"network": {"kind": "standard", "blocks": ["C"]}}'
+
+
+WAYS_OUT = (
+    "report",
+    "usage error",
+    "help",
+    "schema error",
+    "invalid network",
+    "numeric degeneracy",
+    "unwritable output",
+)
+
+
+def exits_of_main(tmp_path) -> dict:
+    """argv and outcome (exit code, or SystemExit and its code) of each way out of main."""
+    std = write(tmp_path, "std.json", STD)
+    return {
+        "report": (["validate", std, "--quiet"], 0),
+        "usage error": (["frobnicate", std], (SystemExit, 2)),
+        "help": (["weak", "--help"], (SystemExit, 0)),
+        "schema error": (["validate", str(tmp_path / "nope.json")], 2),
+        "invalid network": (["validate", write(tmp_path, "bad.json", NON_UNITARY)], 3),
+        "numeric degeneracy": (["weak", write(tmp_path, "dark.json", DARK_DETECTOR)], 4),
+        # OutputError: a regular file cannot be a directory on the way to --out
+        "unwritable output": (["validate", std, "--out", str(Path(std) / "x")], 2),
+    }
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("way_out", WAYS_OUT)
+def test_main_restores_the_collector(tmp_path, capsys, way_out, collecting):
+    argv, outcome = exits_of_main(tmp_path)[way_out]
+    if not collecting:
+        gc.disable()
+    try:
+        if isinstance(outcome, tuple):
+            with pytest.raises(outcome[0]) as err:
+                main(argv)
+            assert err.value.code == outcome[1]
+        else:
+            assert main(argv) == outcome
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_an_unexpected_error_propagates_and_restores_the_collector(
+    tmp_path, capsys, monkeypatch, collecting
+):
+    during = []
+
+    def crash(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("a fault outside the error contract")
+
+    monkeypatch.setattr(cli, "_run", crash)
+    if not collecting:
+        gc.disable()
+    try:
+        with pytest.raises(RuntimeError, match="outside the error contract"):
+            main(["validate", write(tmp_path, "std.json", STD)])
+        assert during == [False]
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+def test_runs_make_no_reference_cycles(tmp_path, capsys):
+    """Pausing the collector for a run leaks nothing only while runs make no
+    cycles: each run below must leave nothing for ``gc.collect`` to free.
+
+    The first call in a process builds the cached parser (argparse's
+    objects refer to each other), and numpy's first FFT sets up its own
+    caches, so one call per subcommand warms up first.  argparse's usage
+    error is exempt: its formatter and the sections it builds refer to
+    each other, and it ends the run with ``SystemExit`` anyway.
+    """
+    out = str(tmp_path / "report.json")
+
+    def cycles_left(argv) -> tuple[int, int]:
+        gc.collect()
+        code = main(argv + ["--out", out, "--quiet"])
+        return code, gc.collect()
+
+    commands = list(cli._SUBCOMMANDS)
+    for command in commands:
+        cycles_left([command, str(SCENARIOS / "standard.json")])
+
+    runs = {}
+    csv = ["--csv-dir", str(tmp_path / "csv")]
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        for command in commands:
+            runs[f"{scenario.name} {command}"] = cycles_left([command, str(scenario)])
+        for command in ("spectrum", "block"):
+            runs[f"{scenario.name} {command} --csv-dir"] = cycles_left([command, str(scenario)] + csv)
+    # 13 subcommand/scenario pairs exit 0, and 5 of them again with --csv-dir;
+    # the other runs end with the error document of a mismatched experiment
+    assert sum(code == 0 for code, _ in runs.values()) == 13 + 5
+
+    doc = mirror_chain_scenario(2000)
+    with_pointer = write(tmp_path, "chain_pointer.json", json.dumps(doc))
+    del doc["experiment"]
+    bare = write(tmp_path, "chain.json", json.dumps(doc))
+    for command, scn in (("validate", bare), ("paths", bare), ("weak", bare), ("pointer", with_pointer)):
+        runs[f"2000-mirror chain {command}"] = cycles_left([command, scn])
+
+    for way_out in ("schema error", "invalid network", "numeric degeneracy"):
+        argv, code = exits_of_main(tmp_path)[way_out]
+        runs[way_out] = cycles_left(argv)
+        assert runs[way_out][0] == code
+
+    assert {name: left for name, (_, left) in runs.items() if left} == {}
+    assert all(code == 0 for name, (code, _) in runs.items() if name.startswith("2000"))
