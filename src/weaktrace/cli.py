@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -189,6 +190,23 @@ def _write_text(path: Path, text: str) -> None:
         raise OutputError(f"cannot write {path} ({exc})") from exc
 
 
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # a later write to stdout, or the interpreter's flush of it at exit,
+        # would fail again with a traceback (or "Exception ignored" and exit
+        # 120), so its file descriptor now leads to the null device, as
+        # Python's notes on SIGPIPE advise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        raise OutputError(f"cannot write the report to stdout ({exc})") from exc
+
+
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
@@ -236,7 +254,7 @@ def _main(argv) -> int:
             _write_text(out_path, text)
             _note(args, f"report written to {out_path}")
         else:
-            sys.stdout.write(text)
+            _write_stdout(text)
     except WeakTraceError as exc:
         error_doc = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(reports.render_json(error_doc))

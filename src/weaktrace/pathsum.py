@@ -48,7 +48,7 @@ from .netgraph import BEAM_SPLITTER, DETECTOR, SINK, SOURCE, Network
 MAX_ROUTE_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Path:
     """One source-to-detector route.
 
@@ -61,6 +61,11 @@ class Path:
     sites: tuple[str, ...]
     amplitude: complex
     blocked: bool
+
+    def __init__(
+        self, arms: tuple[str, ...], sites: tuple[str, ...], amplitude: complex, blocked: bool
+    ):
+        self.__dict__.update(arms=arms, sites=sites, amplitude=amplitude, blocked=blocked)
 
 
 @dataclass(frozen=True)

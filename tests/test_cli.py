@@ -632,6 +632,58 @@ def test_unwritable_output_exits_2(tmp_path, capsys, option):
     assert json.loads(err)["error"] == "unwritable_output"
 
 
+STANDARD_PATHS = ["paths", str(SCENARIOS / "standard.json")]
+STDOUT_WRITERS = {
+    "command line": ["-m", "weaktrace.cli", *STANDARD_PATHS],
+    # stdout must take a later write, and the flush at exit, without failing again
+    "main, then print": [
+        "-c",
+        "import sys; from weaktrace.cli import main; "
+        "code = main(sys.argv[1:]); print('more'); sys.exit(code)",
+        *STANDARD_PATHS,
+    ],
+}
+
+
+def run_with_stdout(argv, stdout) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def assert_one_unwritable_output_document(proc, reason):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)  # one document and nothing else
+    assert error["error"] == "unwritable_output"
+    assert error["message"].startswith("cannot write the report to stdout (")
+    assert reason in error["message"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS)
+def test_full_stdout_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(argv, full)
+    assert_one_unwritable_output_document(proc, "No space left")
+
+
+@pytest.mark.parametrize("argv", STDOUT_WRITERS.values(), ids=STDOUT_WRITERS)
+def test_stdout_pipe_without_reader_exits_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_with_stdout(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert_one_unwritable_output_document(proc, "Broken pipe")
+
+
 def test_weak_normalises_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = weakval.relative_amplitudes

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from weaktrace.netgraph import (
     hadamard,
     standard_nested_mzi,
 )
+from weaktrace.pathsum import Path
 from weaktrace.randomnet import random_layered_network
 
 
@@ -248,6 +252,70 @@ def test_scatter_on_mirror_rejected():
         build_network(nodes, arms)
 
 
+def _splitters(*ids):
+    return [Node(i, BEAM_SPLITTER, scatter=hadamard()) for i in ids]
+
+
+# build_network tests both ends of an arm in one go and counts the output
+# ports before it looks for the dangling one; on several faults it must still
+# name the one its checks meet first, in their documented order
+FIRST_FAULTS = {
+    "two dangling ports, first in node order": (
+        [Node("SRC", SOURCE), *_splitters("BS2", "BS1"), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 0, "BS1", 0), Arm("a", "BS1", 1, "BS2", 0)],
+        DanglingPortError,
+        "output port 0 of node 'BS2' is not connected",
+    ),
+    "two dangling ports, first in port order": (
+        [Node("SRC", SOURCE), *_splitters("BS2", "BS1"), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 0, "BS1", 0), Arm("a", "BS1", 0, "BS2", 0), Arm("b", "BS2", 0, "D", 0)],
+        DanglingPortError,
+        "output port 1 of node 'BS2' is not connected",
+    ),
+    "a dangling port and a transmission out of range": (
+        [Node("SRC", SOURCE), *_splitters("BS"), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 0, "BS", 0, transmission=1.5), Arm("out", "BS", 0, "D", 0)],
+        NetworkError,
+        "arm 'in' transmission 1.5 outside [0, 1]",
+    ),
+    "a bad from-port and an unknown to-node": (
+        [Node("SRC", SOURCE), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 1, "NOPE", 0)],
+        PortConflictError,
+        "arm 'in' uses from-port 1 of 'SRC', which has 1 such ports",
+    ),
+    "a bad to-port after a good from-port": (
+        [Node("SRC", SOURCE), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 0, "D", 1)],
+        PortConflictError,
+        "arm 'in' uses to-port 1 of 'D', which has 1 such ports",
+    ),
+    "a duplicate output port and a dangling port": (
+        [Node("SRC", SOURCE), *_splitters("BS"), Node("D", DETECTOR), Node("D2", DETECTOR)],
+        [Arm("in", "SRC", 0, "BS", 0), Arm("o1", "BS", 0, "D", 0), Arm("o2", "BS", 0, "D2", 0)],
+        PortConflictError,
+        "output port ('BS', 0) feeds both arms 'o1' and 'o2'",
+    ),
+    # 0.5 passes the range check, so the arms fill as many keys as BS has
+    # output ports, yet its port 1 is dangling
+    "a from-port number that only lies in range": (
+        [Node("SRC", SOURCE), *_splitters("BS"), Node("D", DETECTOR), Node("K", SINK)],
+        [Arm("in", "SRC", 0, "BS", 0), Arm("o", "BS", 0, "D", 0), Arm("h", "BS", 0.5, "K", 0)],
+        DanglingPortError,
+        "output port 1 of node 'BS' is not connected",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_FAULTS.values(), ids=FIRST_FAULTS)
+def test_the_first_fault_is_named(case):
+    nodes, arms, error, message = case
+    with pytest.raises(error) as caught:
+        build_network(nodes, arms)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_transmission_out_of_range_rejected(std_net):
     for value in (1.5, -0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(NetworkError, match="outside"):
@@ -381,3 +449,58 @@ def test_passes_read_the_index_built_with_the_network(monkeypatch):
     assert [c.static_probability for c in suite.configs] == [
         c.static_probability for c in expected.configs
     ]
+
+
+RECORDS = [
+    Node("BS", BEAM_SPLITTER, scatter=hadamard(), label="splitter"),
+    Arm("a", "S", 0, "M", 0, label="A", static_phase=0.5, transmission=0.25,
+        modulation=Modulation(delta=0.1, bin=3)),
+    Path(arms=("a", "b"), sites=("A",), amplitude=0.5 - 0.5j, blocked=False),
+]
+
+
+def _generated_signature(cls) -> inspect.Signature:
+    """The signature of the ``__init__`` that ``dataclasses`` generates for
+    the fields of ``cls``."""
+    specs = [
+        (f.name, f.type)
+        if f.default is dataclasses.MISSING
+        else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    return inspect.signature(dataclasses.make_dataclass(cls.__name__, specs, frozen=True))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_keep_the_frozen_dataclass_contract(record):
+    """Node, Arm and Path store their fields in one step of their own
+    ``__init__``, and behave as the generated one made them."""
+    cls = type(record)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(record, name) for name in names]
+    assert inspect.signature(cls).parameters == _generated_signature(cls).parameters
+    assert list(vars(record)) == names  # every field is stored, and nothing else
+    assert vars(cls(*values)) == vars(cls(**dict(zip(names, values)))) == vars(record)
+
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert list(vars(record).values()) == values
+
+    twin = cls(*values)
+    assert twin == record and twin is not record and hash(twin) == hash(record)
+    assert cls(*values[:-1], "other") != record
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    assert cls.__match_args__ == tuple(names)
+
+    changed = dataclasses.replace(record, **{names[0]: "z"})
+    assert type(changed) is cls and vars(changed) == {**vars(record), names[0]: "z"}
+    assert dataclasses.asdict(record) == {
+        n: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for n, v in zip(names, values)
+    }
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and vars(copied) == vars(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(copied, names[0], "z")
