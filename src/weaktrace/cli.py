@@ -195,15 +195,17 @@ def _write_stdout(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # a later write to stdout, or the interpreter's flush of it at exit,
-        # would fail again with a traceback (or "Exception ignored" and exit
-        # 120), so its file descriptor now leads to the null device, as
-        # Python's notes on SIGPIPE advise
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        finally:
-            os.close(devnull)
+        # a later write to the process's stdout, or the interpreter's flush
+        # of it at exit, would fail again with a traceback (or "Exception
+        # ignored" and exit 120), so file descriptor 1 now leads to the null
+        # device, as Python's notes on SIGPIPE advise.  A stream a caller put
+        # in its place is the caller's own, and is left as it is.
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         raise OutputError(f"cannot write the report to stdout ({exc})") from exc
 
 

@@ -57,7 +57,6 @@ NODE_KINDS = (SOURCE, BEAM_SPLITTER, MIRROR, DETECTOR, SINK)
 
 IN_PORTS = {SOURCE: 0, BEAM_SPLITTER: 2, MIRROR: 1, DETECTOR: 1, SINK: 1}
 OUT_PORTS = {SOURCE: 1, BEAM_SPLITTER: 2, MIRROR: 1, DETECTOR: 0, SINK: 0}
-_OUT_PORT_NUMBERS = {kind: range(n) for kind, n in OUT_PORTS.items()}
 
 UNITARITY_TOL = 1e-12
 
@@ -256,7 +255,6 @@ def build_network(nodes, arms) -> Network:
             raise NetworkError(f"node {n.id!r} of kind {n.kind!r} cannot scatter")
 
     seen_arm_ids = set()
-    counted = True  # whether the dangling-port count below can stand for the ports
     by_label: dict[str, Arm] = {}
     outgoing: dict[tuple[str, int], Arm] = {}
     taken_in: dict[tuple[str, int], str] = {}
@@ -266,31 +264,26 @@ def build_network(nodes, arms) -> Network:
         if a.id in seen_arm_ids:
             raise DuplicateLabelError(f"duplicate arm id {a.id!r}")
         seen_arm_ids.add(a.id)
-        # both ends in one test; the loop only names what failed.  A from-port
-        # must be one of its node's port numbers for the dangling-port count
-        # below; one that only lies in range, such as 0.5, turns the count off
         head = by_id.get(a.from_node)
-        if (
-            head is None
-            or a.from_port not in _OUT_PORT_NUMBERS[head.kind]
-            or (tail := by_id.get(a.to_node)) is None
-            or not 0 <= a.to_port < IN_PORTS[tail.kind]
-        ):
-            for end, node_id, port, nports in (
-                ("from", a.from_node, a.from_port, OUT_PORTS),
-                ("to", a.to_node, a.to_port, IN_PORTS),
-            ):
-                node = by_id.get(node_id)
-                if node is None:
-                    raise PortConflictError(
-                        f"arm {a.id!r} references unknown node {node_id!r}"
-                    )
-                if not 0 <= port < nports[node.kind]:
-                    raise PortConflictError(
-                        f"arm {a.id!r} uses {end}-port {port} of {node_id!r}, "
-                        f"which has {nports[node.kind]} such ports"
-                    )
-            counted = False
+        if head is None:
+            raise PortConflictError(
+                f"arm {a.id!r} references unknown node {a.from_node!r}"
+            )
+        if not 0 <= a.from_port < OUT_PORTS[head.kind]:
+            raise PortConflictError(
+                f"arm {a.id!r} uses from-port {a.from_port} of {a.from_node!r}, "
+                f"which has {OUT_PORTS[head.kind]} such ports"
+            )
+        tail = by_id.get(a.to_node)
+        if tail is None:
+            raise PortConflictError(
+                f"arm {a.id!r} references unknown node {a.to_node!r}"
+            )
+        if not 0 <= a.to_port < IN_PORTS[tail.kind]:
+            raise PortConflictError(
+                f"arm {a.id!r} uses to-port {a.to_port} of {a.to_node!r}, "
+                f"which has {IN_PORTS[tail.kind]} such ports"
+            )
         key = (a.from_node, a.from_port)
         if key in outgoing:
             raise PortConflictError(
@@ -320,16 +313,13 @@ def build_network(nodes, arms) -> Network:
             raise NetworkError(f"arm {a.id!r} modulation depth {a.modulation.delta!r} invalid")
 
     # Every output port of an amplitude-carrying element must lead somewhere;
-    # unfed beam-splitter inputs are legitimate vacuum ports.  Each key of
-    # ``outgoing`` is then a distinct output port that exists, so none is
-    # left dangling exactly when they are as many as the nodes' output ports.
-    if not counted or len(outgoing) != sum(OUT_PORTS[n.kind] for n in nodes):
-        for n in nodes:
-            for port in range(OUT_PORTS[n.kind]):
-                if (n.id, port) not in outgoing:
-                    raise DanglingPortError(
-                        f"output port {port} of node {n.id!r} is not connected"
-                    )
+    # unfed beam-splitter inputs are legitimate vacuum ports.
+    for n in nodes:
+        for port in range(OUT_PORTS[n.kind]):
+            if (n.id, port) not in outgoing:
+                raise DanglingPortError(
+                    f"output port {port} of node {n.id!r} is not connected"
+                )
 
     sources = [n for n in nodes if n.kind == SOURCE]
     if len(sources) != 1:

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import json
@@ -682,6 +683,22 @@ def test_stdout_pipe_without_reader_exits_2(argv):
     finally:
         os.close(write_end)
     assert_one_unwritable_output_document(proc, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_redirected_stdout_is_left_to_its_caller(capsys):
+    full = open("/dev/full", "w")
+    try:
+        with contextlib.redirect_stdout(full):
+            assert main(STANDARD_PATHS) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "unwritable_output"
+        # the caller's file still leads to the full device, not to the null one
+        with pytest.raises(OSError, match="No space left"):
+            full.flush()
+    finally:
+        with contextlib.suppress(OSError):
+            full.close()
 
 
 def test_weak_normalises_once(tmp_path, capsys, monkeypatch):

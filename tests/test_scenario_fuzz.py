@@ -4,8 +4,6 @@ Each example takes one document from ``scenarios/``, replaces one of its
 values (or deletes it), and runs the subcommand that matches the
 document's experiment.  Whatever the input, the CLI must exit 0, 2, 3 or
 4, and a non-zero exit must leave one JSON error document on stderr.
-Where the column reader of a custom network's nodes or arms accepts a
-mutated array, the record readers must build the same records from it.
 """
 
 import contextlib
@@ -18,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weaktrace import scenario
 from weaktrace.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -90,22 +87,3 @@ def test_mutated_scenario_exits_with_documented_code(scenario_path, site, mutati
         assert out.getvalue() == ""
         doc = json.loads(err.getvalue())
         assert sorted(doc) == ["error", "message"]
-
-
-RECORD_SITES = [(name, loc) for name, loc in SITES if loc[:2] in (("network", "nodes"), ("network", "arms"))]
-READERS = (("nodes", scenario._node_columns, scenario._node), ("arms", scenario._arm_columns, scenario._arm))
-
-
-@settings(max_examples=200, deadline=None)
-@given(site=st.sampled_from(RECORD_SITES), mutation=st.sampled_from(MUTATIONS))
-def test_column_and_record_readers_build_the_same_records(site, mutation):
-    network = mutated(*site, mutation)["network"]
-    for key, columns, read in READERS:
-        items = network.get(key)
-        try:
-            by_column = columns(items)
-        except (scenario._Irregular, scenario._Invalid, OverflowError):
-            continue  # parse_scenario reads this array with the record readers alone
-        by_record = scenario._items(read)(items)
-        assert [vars(r) for r in by_column] == [vars(r) for r in by_record]
-        assert list(map(repr, by_column)) == list(map(repr, by_record))
