@@ -182,6 +182,9 @@ def _run(args) -> tuple[dict, list[tuple[str, SpectralReport, reports.Floats]]]:
     return reports.envelope(command, doc, net, result), spectral
 
 
+_PATH_SEPARATORS = frozenset(filter(None, ("/", "\0", os.sep, os.altsep)))
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -243,6 +246,14 @@ def _main(argv) -> int:
         # only spectrum and block return spectral reports and take --csv-dir
         if spectral and args.csv_dir:
             csv_dir = Path(args.csv_dir)
+            # a site label is free text, but each file name stays one
+            # component of csv_dir (a name holding NUL cannot be opened)
+            for prefix, _, _ in spectral:
+                if not _PATH_SEPARATORS.isdisjoint(prefix):
+                    raise OutputError(
+                        f"configuration {prefix[:-1]!r} cannot name a CSV file in {csv_dir} "
+                        "(a file name may hold no path separator or NUL)"
+                    )
             for prefix, report, power in spectral:
                 _write_text(
                     csv_dir / f"{prefix}timeseries.csv",

@@ -13,7 +13,11 @@ checked by the types it holds.  If any such check fails, the record readers
 read the array again from its first item; they alone name the first bad
 value, so both ways accept the same documents and build the same records.
 Semantic problems that need the assembled graph (non-unitary scatter,
-cycles, unknown site labels) are deferred to network construction.
+cycles, unknown site labels) are deferred to network construction:
+``build_scenario_network`` builds the section's network, standard or
+custom, and then blocks the sites of its ``blocks`` with
+``netgraph.apply_block``, so every network error comes before an unknown
+blocked site.
 
 ``parse_scenario`` fills every default, and ``scenario_doc`` renders a
 Scenario back to a plain document, so parse(render(s)) == s: a record's
@@ -26,7 +30,6 @@ land in the report: the same bytes that ``reports.render_json`` makes of
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -564,28 +567,13 @@ def default_experiment(scenario: Scenario, kind: str) -> Experiment:
 
 
 def build_scenario_network(section: NetworkSection) -> Network:
-    """Assemble and validate the network a scenario describes."""
+    """Assemble and validate the network a scenario describes, then block
+    every site of its ``blocks`` with ``apply_block``, in one rebuild."""
     if section.kind == "standard":
-        overrides = {name.lower(): mat for name, mat in section.scatter}
-        net = standard_nested_mzi(**overrides)
-        if section.blocks:  # every blocked site in one rebuild
-            net = apply_block(net, *section.blocks)
-        return net
-    # Blocked arms absorb from the one validation.  An arm whose own
-    # transmission is out of range keeps it, so build_network still reports it.
-    arms = section.arms
-    if section.blocks:
-        blocked = set(section.blocks)
-        arms = [
-            dataclasses.replace(a, transmission=0.0)
-            if a.label in blocked and 0.0 <= a.transmission <= 1.0
-            else a
-            for a in arms
-        ]
-    net = build_network(section.nodes, arms)
-    for site in section.blocks:  # an unknown site, after every network error
-        net.labeled_arm(site)
-    return net
+        net = standard_nested_mzi(**{name.lower(): mat for name, mat in section.scatter})
+    else:
+        net = build_network(section.nodes, section.arms)
+    return apply_block(net, *section.blocks) if section.blocks else net
 
 
 def _complex_doc(z: complex):

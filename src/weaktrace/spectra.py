@@ -12,7 +12,7 @@ set with their amplitudes summed, taken from one forward pass over the
 network.  The reading is ``weakval.post_selected_mean`` of the classes, as
 a ``pointer`` shift is of two.  Its cost is O(N K min(K, M)) in samples N,
 classes K and terms M of its moment series, and that work is bounded, as
-is N K.
+are N K and N times the probed sites, the size of its waveform table.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -48,9 +48,10 @@ MAX_SAMPLES = 2**20
 # pair overlaps on the pair branch.  Over 100 times the largest benchmark or
 # test input.
 MAX_READOUT_WORK = 2**30
-# bound on samples x classes, the size of each array the readout holds (256 MB
-# of displacements): the work bound alone would let a series readout's arrays
-# pass a gigabyte
+# bound on samples x classes and on samples x probed sites, the size of each
+# array the readout holds (256 MB of displacements, or of site waveforms): the
+# work bound alone would let a series readout's arrays pass a gigabyte, and a
+# probed site that no route to the detector passes adds a waveform but no class
 MAX_READOUT_CELLS = 2**25
 # the standard network's dark arms, blocked one at a time by default
 STANDARD_BLOCK_SITES = ("E", "F")
@@ -147,10 +148,11 @@ def readout_timeseries(
     1e-18, at a cost of O(N K M) from M + 1 amplitude moments per sample
     while the displacements stay within twice the width and K > M + 2,
     else O(N K^2) from the class pairs.  TooManyRoutesError is raised
-    before any samples x classes array exists when N K passes
-    ``MAX_READOUT_CELLS``, or the kernel's work passes ``MAX_READOUT_WORK``:
-    the work is charged from the plan, whose summed depths bound every
-    displacement.
+    before any samples-sized array exists when N K passes
+    ``MAX_READOUT_CELLS``, or the kernel's work passes ``MAX_READOUT_WORK``
+    (the work is charged from the plan, whose summed depths bound every
+    displacement), or N times the plan's S probed sites, the size of the
+    waveform table, passes ``MAX_READOUT_CELLS``.
 
     Returns
     -------
@@ -190,6 +192,11 @@ def _readout(net: Network, plan: ModulationPlan, sigma: float, detector: str | N
             f"{k} signature classes at {n} samples exceed the readout bounds of "
             f"{MAX_READOUT_CELLS} samples x classes and {MAX_READOUT_WORK} units "
             f"of kernel work (here {work})"
+        )
+    if n * len(deltas) > MAX_READOUT_CELLS:
+        raise TooManyRoutesError(
+            f"{len(deltas)} probed sites at {n} samples exceed the readout bound of "
+            f"{MAX_READOUT_CELLS} samples x sites"
         )
 
     member = np.array([[sm.site in sig for sm in plan.sites] for sig in classes], dtype=float)

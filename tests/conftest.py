@@ -145,6 +145,35 @@ def hadamard_cascade_scenario(stages: int) -> dict:
     return {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
 
 
+def dead_branch_scenario(sites: int, samples: int) -> dict:
+    """A splitter whose port 0 goes to D and whose port 1 runs through
+    ``sites`` modulated mirror arms M1..M<sites> to a sink: every probed site
+    is off the only route to D, so the spectral readout has one class."""
+    h = 2**-0.5
+    nodes = [
+        {"id": "SRC", "kind": "source"},
+        {"id": "BS", "kind": "beam_splitter", "scatter": [[h, h], [h, -h]]},
+        {"id": "D", "kind": "detector"},
+        *({"id": f"M{i}", "kind": "mirror"} for i in range(1, sites + 1)),
+        {"id": "K", "kind": "sink"},
+    ]
+    ends = [["BS", 1], *([f"M{i}", 0] for i in range(1, sites + 1)), ["K", 0]]
+    arms = [
+        {"id": "in", "from": ["SRC", 0], "to": ["BS", 0]},
+        {"id": "out", "from": ["BS", 0], "to": ["D", 0]},
+        *(
+            {"id": f"p{i}", "from": ends[i - 1], "to": ends[i], "label": f"S{i}",
+             "modulation": {"delta": 0.01, "bin": i}}
+            for i in range(1, sites + 1)
+        ),
+        {"id": "dump", "from": ends[-2], "to": ends[-1]},
+    ]
+    return {
+        "network": {"kind": "custom", "nodes": nodes, "arms": arms},
+        "experiment": {"kind": "spectral", "samples": samples},
+    }
+
+
 def two_state_split(net, site, detector):
     """(A1, total) oracle in the two-state form: with fwd the amplitude the
     source sends into a point and bwd the amplitude a point sends on to the

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_sweeps, hadamard_cascade_scenario
+from conftest import count_sweeps, dead_branch_scenario, hadamard_cascade_scenario
 from weaktrace import cli, pathsum, reports, spectra, weakval
 from weaktrace.cli import main
 from weaktrace.errors import NetworkError, NonFiniteResultError
@@ -622,6 +622,21 @@ def test_unreadable_json_values_are_schema_errors(tmp_path, capsys, text, path):
         assert error["message"].startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("label", ["x/../../escaped", "nul\u0000byte"], ids=["traversal", "nul"])
+def test_site_label_cannot_name_a_csv_file_outside_csv_dir(tmp_path, capsys, label):
+    doc = json.loads((SCENARIOS / "custom_mzi.json").read_text())
+    del doc["experiment"]  # block the probed sites X and Y
+    doc["network"]["arms"][1]["label"] = label
+    scn = write(tmp_path, "doc.json", json.dumps(doc))
+    code, out, err = run(capsys, ["block", scn, "--csv-dir", str(tmp_path / "out" / "csv")])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)  # one document and nothing else
+    assert error["error"] == "unwritable_output"
+    assert error["message"].startswith(f"configuration {'block_' + label!r} cannot name")
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
 @pytest.mark.parametrize("option", ["--out", "--csv-dir"])
 def test_unwritable_output_exits_2(tmp_path, capsys, option):
     scn = write(tmp_path, "std.json", STD)
@@ -800,6 +815,25 @@ def test_readout_bound_exits_3_before_the_readout(tmp_path, capsys, monkeypatch)
     k = np.arange(4096)
     reach = np.abs(sum(0.5 * np.sin(2 * np.pi * p["bin"] * k / 4096) for p in plan.values()))
     assert reach.max() > 2.0
+
+
+def test_waveform_table_bound_exits_3_before_the_table(tmp_path, capsys, monkeypatch):
+    def refuse(plan):
+        raise AssertionError("the waveform table was built")
+
+    monkeypatch.setattr(spectra, "_waves", refuse)
+    # 33 probed sites off the only route to D pass the class and work
+    # bounds with one class, but their table would be 2**20 x 33 floats
+    doc = dead_branch_scenario(33, 2**20)
+    code, out, err = run(capsys, ["spectrum", write(tmp_path, "dead.json", json.dumps(doc))])
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)  # one document and nothing else
+    assert error == {
+        "error": "too_many_routes",
+        "message": "33 probed sites at 1048576 samples exceed the readout bound of "
+        "33554432 samples x sites",
+    }
 
 
 def count_forward_passes(monkeypatch):

@@ -81,6 +81,12 @@ def test_empty_input_is_empty_text():
     assert reports._fmt_floats(np.zeros((0, 3)), ",", "\n") == ""
 
 
+@pytest.mark.parametrize("sep, end", [(", ", "-----"), ("-----", "\n")])
+def test_separator_longer_than_4_characters_is_refused(sep, end):
+    with pytest.raises(ValueError, match="^a separator longer than 4 characters$"):
+        _floattext.join_floats(np.ones((2, 2)), sep, end)
+
+
 def exact_decimal(x: float) -> tuple[int, int, bool]:
     """N and E as ``%.17g`` rounds them, from exact rationals, and whether
     the fast path must leave x to ``FLOAT_FORMAT``: outside [1e-290, 1e290],

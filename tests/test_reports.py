@@ -603,6 +603,14 @@ def test_echo_of_a_non_finite_value_names_it_as_the_plain_document_does():
     assert err == (NonFiniteResultError, "the result holds a non-finite value (-inf)")
 
 
+def test_echo_of_no_records_is_the_plain_document():
+    # build_network refuses an empty network, but the echo writes one
+    sc = parse_scenario('{"network": {"kind": "custom", "nodes": [], "arms": []}}')
+    echo = reports.render_json(scenario_echo(sc))
+    assert echo == reports.render_json(scenario_doc(sc))
+    assert json.loads(echo)["network"] == {"kind": "custom", "nodes": [], "arms": []}
+
+
 def bad_records(bad: dict) -> list:
     """Nine same-shaped records; ``bad`` maps (record, key) to a replacement."""
     records = [

@@ -391,15 +391,6 @@ def test_wrong_types_report_their_path():
         assert err.value.path == path, text
 
 
-def test_blocks_are_applied_in_one_rebuild(monkeypatch):
-    calls = build_calls(monkeypatch)
-    sc = parse_scenario('{"network": {"kind": "standard", "blocks": ["A", "B"]}}')
-    net = build_scenario_network(sc.network)
-    # the standard network, then one rebuild for both blocked sites
-    assert len(calls) == 2
-    assert [a.id for a in net.arms if a.transmission == 0.0] == ["A", "B"]
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -444,6 +435,13 @@ def test_negative_noise_std_rejected():
         parse_scenario(
             '{"network": "standard", "experiment": {"kind": "spectral", "noise": {"std": -1}}}'
         )
+    # and so is a negative seed
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(
+            '{"network": "standard", "experiment": {"kind": "spectral", '
+            '"noise": {"std": 0, "seed": -1}}}'
+        )
+    assert str(err.value) == "$.experiment.noise.seed: seed must be non-negative"
 
 
 @pytest.mark.parametrize("network", ['"standard"', json.dumps(CUSTOM_DARK_PORT["network"])])
@@ -502,13 +500,22 @@ def blocked_custom_mzi(blocks, arm_changes=None) -> NetworkSection:
     return parse_scenario(json.dumps({"network": network})).network
 
 
-def test_custom_blocks_are_applied_in_one_build(monkeypatch):
-    section = blocked_custom_mzi(["X"])
+@pytest.mark.parametrize(
+    "section, blocked_ids",
+    [
+        (parse_scenario('{"network": {"kind": "standard", "blocks": ["A", "B"]}}').network, ["A", "B"]),
+        (blocked_custom_mzi(["X", "Y"]), ["upper", "lower"]),
+    ],
+    ids=["standard", "custom"],
+)
+def test_blocks_are_applied_by_apply_block_in_one_rebuild(monkeypatch, section, blocked_ids):
     calls = build_calls(monkeypatch)
     net = build_scenario_network(section)
-    assert len(calls) == 1
-    assert [a.id for a in net.arms if a.transmission == 0.0] == ["upper"]
-    assert net == apply_block(build_network(section.nodes, section.arms), "X")
+    # the section's network, then one rebuild for both blocked sites
+    assert len(calls) == 2
+    assert [a.id for a in net.arms if a.transmission == 0.0] == blocked_ids
+    if section.kind == "custom":
+        assert net == apply_block(build_network(section.nodes, section.arms), *section.blocks)
 
 
 def _error(call):

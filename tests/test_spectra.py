@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_calls, make_dark_port_mzi
+from conftest import dead_branch_scenario, kernel_calls, make_dark_port_mzi
 from weaktrace import (
     ModulationPlan,
     NoiseModel,
@@ -274,6 +275,27 @@ def test_series_readout_is_charged_its_moment_terms(monkeypatch):
     with pytest.raises(TooManyRoutesError, match="128 signature classes at 256 samples"):
         readout_timeseries(net, plan, sigma=1.0)
     assert len(series) == 2
+
+
+def test_waveform_table_is_charged_its_probed_sites(monkeypatch):
+    # three probed sites that no route to D passes: one class, but the
+    # waveform table holds samples x sites
+    sc = parse_scenario(json.dumps(dead_branch_scenario(3, 64)))
+    net, plan = build_scenario_network(sc.network), sc.experiment.plan
+    monkeypatch.setattr(spectra, "MAX_READOUT_CELLS", 64 * 3)
+    xbar, rate = readout_timeseries(net, plan, sigma=1.0)
+    assert xbar.shape == rate.shape == (64,)
+
+    def refuse(plan):
+        raise AssertionError("the waveform table was built")
+
+    monkeypatch.setattr(spectra, "_waves", refuse)
+    monkeypatch.setattr(spectra, "MAX_READOUT_CELLS", 64 * 3 - 1)
+    with pytest.raises(TooManyRoutesError) as err:
+        readout_timeseries(net, plan, sigma=1.0)
+    assert str(err.value) == (
+        "3 probed sites at 64 samples exceed the readout bound of 191 samples x sites"
+    )
 
 
 # ---------------------------------------------------------------- spectra
