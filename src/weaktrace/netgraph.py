@@ -22,8 +22,16 @@ validation built: nodes by id, arms by site label, and the legs.  A leg
 is the run of arms from one output port of the source, of a beam
 splitter or of a mirror that no arm feeds, through fed mirrors, up to
 the next node that is not a mirror, with each arm's factor computed
-once; the legs come in topological order.  Every pass over the network
-reads the legs, so it is sorted and cut into legs once, when it is built.
+once.  Every pass over the network reads the legs, so it is sorted and
+cut into legs once, when it is built, in one walk: Kahn's queue holds
+only the nodes that start or end legs, and each output port of a node
+taken from it starts a leg that is walked to its end at once.  The legs
+come in a topological order; on networks whose mirror runs have uneven
+lengths it can differ from the one that earlier versions, queueing one
+node at a time, gave.  The walk reads every output port of every node
+it reaches, so when it reaches every node no port dangles and there is
+no cycle; the per-port check runs only when it stops short, to name the
+fault.
 """
 
 from __future__ import annotations
@@ -215,19 +223,77 @@ class Network:
 
 
 def _check_unitary(node: Node) -> None:
-    u = np.array(node.scatter, dtype=complex)
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+    # the largest entry of u^H u - I, in plain complex arithmetic: on a 2x2,
+    # numpy's set-up costs ten times the sums
+    (a, b), (c, d) = node.scatter
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    dev = max(
+        abs(ac * a + cc * c - 1),
+        abs(ac * b + cc * d),
+        abs(bc * a + dc * c),
+        abs(bc * b + dc * d - 1),
+    )
     if dev > UNITARITY_TOL:
         raise NonUnitaryScatterError(node.id, dev)
+
+
+def _cut_legs(order, by_id, outgoing, indeg):
+    """Kahn's algorithm over the nodes that are not fed mirrors, cutting
+    the arms into legs as it goes.
+
+    ``order`` starts with the nodes that no arm feeds and grows as nodes
+    become ready, once every arm into them has been passed; nodes on or
+    behind a cycle never do.  Each output port of a node taken from it
+    starts a leg, walked at once arm by arm through the fed mirrors it
+    meets, up to the next node that is not a mirror, whose in-degree then
+    drops.  Returns (legs, relayed): each taken node's legs by output port,
+    keyed by node id in topological order, and the number of fed mirrors
+    they pass; or None at the first output port that has no arm.
+    """
+    legs: dict[str, tuple[Node, tuple[Leg, ...]]] = {}
+    relayed = 0
+    get = outgoing.get
+    for n in order:  # the list grows as nodes become ready
+        if not OUT_PORTS[n.kind]:
+            continue
+        ports = tuple(Leg() for _ in range(OUT_PORTS[n.kind]))
+        for port, leg in enumerate(ports):
+            a = get((n.id, port))
+            while a is not None:
+                to = a.to_node
+                end = (to, a.to_port)
+                leg.ids.append(a.id)
+                leg.ends.append(end)
+                leg.factors.append(a.factor())
+                if a.label is not None:
+                    leg.sites.append(a.label)
+                if a.transmission == 0.0:
+                    leg.blocked = True
+                node = by_id[to]
+                if node.kind != MIRROR:
+                    indeg[to] -= 1
+                    if not indeg[to]:
+                        order.append(node)
+                    break
+                a = get(end)  # a mirror's output port 0 has the key of its input
+            else:
+                return None
+            relayed += len(leg.ends) - 1
+        legs[n.id] = (n, ports)
+    return legs, relayed
 
 
 def build_network(nodes, arms) -> Network:
     """Validate element and arm lists and assemble an immutable Network.
 
-    Checks, in order: node well-formedness (kinds, scatter presence and
-    unitarity), unique ids, port references, one arm per port, no dangling
-    output ports, exactly one source, at least one detector, unique arm
-    site labels, arm parameter ranges, and acyclicity.
+    Checks node well-formedness (kinds, scatter presence and unitarity)
+    and unique ids node by node, then port references, one arm per port,
+    unique arm site labels and arm parameter ranges arm by arm; then it
+    cuts the legs (``_cut_legs``) and names the first fault of: a dangling
+    output port, in node and port order; the number of sources (exactly
+    one) and of detectors (at least one); a cycle, listing the nodes the
+    walk never reached.  The dangling-port loop runs only when the walk
+    stopped at a port with no arm or left nodes out.
 
     Parameters
     ----------
@@ -259,7 +325,6 @@ def build_network(nodes, arms) -> Network:
     outgoing: dict[tuple[str, int], Arm] = {}
     taken_in: dict[tuple[str, int], str] = {}
     indeg = dict.fromkeys(by_id, 0)
-    out_arms: dict[str, list[Arm]] = {}  # per node, in arm order
     for a in arms:
         if a.id in seen_arm_ids:
             raise DuplicateLabelError(f"duplicate arm id {a.id!r}")
@@ -297,7 +362,6 @@ def build_network(nodes, arms) -> Network:
             )
         taken_in[key] = a.id
         indeg[a.to_node] += 1
-        out_arms.setdefault(a.from_node, []).append(a)
         if a.label is not None:
             if a.label in by_label:
                 raise DuplicateLabelError(f"site label {a.label!r} on multiple arms")
@@ -312,14 +376,19 @@ def build_network(nodes, arms) -> Network:
         if a.modulation is not None and not 0.0 <= a.modulation.delta < math.inf:
             raise NetworkError(f"arm {a.id!r} modulation depth {a.modulation.delta!r} invalid")
 
-    # Every output port of an amplitude-carrying element must lead somewhere;
-    # unfed beam-splitter inputs are legitimate vacuum ports.
-    for n in nodes:
-        for port in range(OUT_PORTS[n.kind]):
-            if (n.id, port) not in outgoing:
-                raise DanglingPortError(
-                    f"output port {port} of node {n.id!r} is not connected"
-                )
+    order = [n for n in nodes if not indeg[n.id]]
+    cut = _cut_legs(order, by_id, outgoing, indeg)
+    # The walk read every output port of every node it reached, so a fault
+    # is left to name only when it stopped at a port with no arm or left
+    # nodes out.  Every output port of an amplitude-carrying element must
+    # lead somewhere; unfed beam-splitter inputs are legitimate vacuum ports.
+    if cut is None or len(order) + cut[1] < len(nodes):
+        for n in nodes:
+            for port in range(OUT_PORTS[n.kind]):
+                if (n.id, port) not in outgoing:
+                    raise DanglingPortError(
+                        f"output port {port} of node {n.id!r} is not connected"
+                    )
 
     sources = [n for n in nodes if n.kind == SOURCE]
     if len(sources) != 1:
@@ -328,38 +397,11 @@ def build_network(nodes, arms) -> Network:
     if not detectors:
         raise NetworkError("network has no detector")
 
-    # Kahn's algorithm: a node is ready once every arm into it has been
-    # passed.  Nodes on or behind a cycle never get ready.  The same loop
-    # cuts the arms into legs: a fed mirror is ready once its one arm in has
-    # been passed, and it continues the leg of that arm.
-    order = [n for n in nodes if not indeg[n.id]]
-    legs: dict[str, tuple[Node, tuple[Leg, ...]]] = {}
-    reaching: dict[str, Leg] = {}  # the leg into each fed mirror not yet passed
-    for n in order:  # the list grows as nodes become ready
-        fed = reaching.pop(n.id, None)
-        if fed is not None:
-            ports = (fed,)
-        elif OUT_PORTS[n.kind]:
-            ports = tuple(Leg() for _ in range(OUT_PORTS[n.kind]))
-            legs[n.id] = (n, ports)
-        for a in out_arms.get(n.id, ()):
-            leg = ports[a.from_port]
-            to = a.to_node
-            leg.ids.append(a.id)
-            leg.ends.append((to, a.to_port))
-            leg.factors.append(a.factor())
-            if a.label is not None:
-                leg.sites.append(a.label)
-            if a.transmission == 0.0:
-                leg.blocked = True
-            indeg[to] -= 1
-            if not indeg[to]:
-                node = by_id[to]
-                order.append(node)
-                if node.kind == MIRROR:
-                    reaching[to] = leg
-    if len(order) != len(nodes):
-        stuck = sorted(node_id for node_id, left in indeg.items() if left)
+    legs, relayed = cut
+    if len(order) + relayed < len(nodes):  # nodes on or behind a cycle
+        reached = {n.id for n in order}
+        reached.update(end for _, ports in legs.values() for leg in ports for end, _ in leg.ends[:-1])
+        stuck = sorted(node_id for node_id in by_id if node_id not in reached)
         raise CyclicGraphError(f"cycle through nodes {stuck}")
 
     return Network(nodes, arms, sources[0].id, detectors, by_id, by_label, legs)

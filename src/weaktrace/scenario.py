@@ -17,7 +17,9 @@ cycles, unknown site labels) are deferred to network construction:
 ``build_scenario_network`` builds the section's network, standard or
 custom, and then blocks the sites of its ``blocks`` with
 ``netgraph.apply_block``, so every network error comes before an unknown
-blocked site.
+blocked site.  A spectral or blocking plan read from a custom network's
+arm modulations is checked while parsing, but when the arms give no plan,
+the network is built first, so its own fault is named before the plan's.
 
 ``parse_scenario`` fills every default, and ``scenario_doc`` renders a
 Scenario back to a plain document, so parse(render(s)) == s: a record's
@@ -516,8 +518,12 @@ def _experiment(value, network: NetworkSection) -> Experiment:
         else:  # the probes a custom network declares on its arms
             plan = plan_from_network(network, samples)
             if not plan.sites:
-                raise _Invalid("a custom network needs an explicit plan or arm modulations", "plan")
+                raise ValueError("a custom network needs an explicit plan or arm modulations")
     except (UnknownLabelError, ValueError) as exc:
+        if "plan" not in obj and network.kind == "custom":
+            # a plan read from the arms can fail on a network fault, such as
+            # one site label on two modulated arms: the network's is named first
+            build_scenario_network(network)
         raise _Invalid(str(exc), "plan") from exc
 
     if kind == "spectral":

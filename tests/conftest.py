@@ -25,6 +25,7 @@ from weaktrace.netgraph import (
     hadamard,
 )
 from weaktrace.errors import NonFiniteResultError
+from weaktrace.randomnet import random_unitary_2x2
 from node_passes import arms_by_port, topological_order
 
 
@@ -172,6 +173,66 @@ def dead_branch_scenario(sites: int, samples: int) -> dict:
         "network": {"kind": "custom", "nodes": nodes, "arms": arms},
         "experiment": {"kind": "spectral", "samples": samples},
     }
+
+
+def uneven_runs_network(rng: np.random.Generator, splitters: int = 8):
+    """A random branching network whose legs end at different depths.
+
+    Splitters J0, J1, ... each take one or two of the three oldest open
+    output ports, so the network branches nearly breadth first; a splitter
+    fed by one port now and then takes, into its other input, a run of
+    mirrors that no arm feeds.  The ports left open end on the detector D
+    and on sinks.  Every hop runs through mirrors, 2 to 6 from a splitter's
+    port 0 and 0 to 2 from its port 1 or the source; its first arm carries
+    a site label, and about one hop in eight has an arm of transmission 0.
+    The node and arm lists are shuffled.  So a splitter reached by a long
+    run often starts its legs before one reached by a short run, an order
+    that a node-at-a-time sort (``node_passes.topological_order``) reverses.
+    """
+    nodes = [Node("SRC", SOURCE)]
+    arms = []
+    open_ports = [("SRC", 0)]
+
+    def run(src, dst, depth):
+        # depth mirrors from the port src (None: no arm feeds the first) to the port dst
+        n = len(arms)
+        ends = [(f"M{n + i}", 0) for i in range(depth)]
+        nodes.extend(Node(m, MIRROR) for m, _ in ends)
+        ends = ends + [dst] if src is None else [src, *ends, dst]
+        blocked = int(rng.integers(len(ends) - 1)) if rng.uniform() < 0.125 else None
+        for i, (a, b) in enumerate(zip(ends, ends[1:])):
+            arms.append(
+                Arm(
+                    f"a{n + i}",
+                    *a,
+                    *b,
+                    label=f"s{n}" if i == 0 else None,
+                    static_phase=float(rng.uniform(0.0, 2.0 * math.pi)),
+                    transmission=0.0 if i == blocked else 1.0,
+                )
+            )
+
+    def hop(src):
+        # the mirrors of a hop from a splitter's port 0: 2 to 6; from its port 1: 0 to 2
+        return int(rng.integers(2, 7) if src[1] == 0 and src[0] != "SRC" else rng.integers(3))
+
+    for k in range(splitters):
+        nodes.append(Node(f"J{k}", BEAM_SPLITTER, scatter=random_unitary_2x2(rng)))
+        two = len(open_ports) > 1 and rng.uniform() < 0.4
+        for port in range(1 + two):
+            src = open_ports.pop(int(rng.integers(min(3, len(open_ports)))))  # one of the oldest
+            run(src, (f"J{k}", port), hop(src))
+        if not two and rng.uniform() < 0.3:
+            run(None, (f"J{k}", 1), int(rng.integers(1, 4)))
+        open_ports += [(f"J{k}", 0), (f"J{k}", 1)]
+    rng.shuffle(open_ports)
+    for i, src in enumerate(open_ports):
+        end = "D" if i == 0 else f"K{i}"
+        nodes.append(Node(end, DETECTOR if i == 0 else SINK))
+        run(src, (end, 0), hop(src))
+    return build_network(
+        [nodes[i] for i in rng.permutation(len(nodes))], [arms[i] for i in rng.permutation(len(arms))]
+    )
 
 
 def two_state_split(net, site, detector):

@@ -187,6 +187,61 @@ def test_exit_3_on_invalid_network(tmp_path, capsys):
     assert json.loads(err)["error"] == "non_unitary_scatter"
 
 
+def _label_two_arms_x(arms):
+    arms[3]["label"] = "X"  # the upper arm's label, on the modulated lower arm
+
+
+def _drive_two_arms_at_bin_11(arms):
+    arms[3]["modulation"]["bin"] = 11  # the upper arm's bin
+
+
+def _drop_modulations(arms):
+    for arm in arms:
+        arm.pop("modulation", None)
+
+
+def _drop_modulations_and_dark_arm(arms):
+    _drop_modulations(arms)
+    arms.pop()  # the arm from BS_OUT's port 1
+
+
+@pytest.mark.parametrize("section", [True, False], ids=["spectral section", "no section"])
+@pytest.mark.parametrize("command", ["validate", "spectrum", "block"])
+@pytest.mark.parametrize(
+    "bad_network, fault, plan_only, plan_fault",
+    [
+        (_label_two_arms_x, ("duplicate_label", "site label 'X' on multiple arms"),
+         _drive_two_arms_at_bin_11, "frequency bin 11 assigned twice"),
+        (_drop_modulations_and_dark_arm, ("dangling_port", "output port 1 of node 'BS_OUT' is not connected"),
+         _drop_modulations, "a custom network needs an explicit plan or arm modulations"),
+    ],
+    ids=["one label on two modulated arms", "no modulations and a dangling port"],
+)
+def test_a_plan_from_the_arms_names_the_network_fault_first(
+    tmp_path, capsys, command, section, bad_network, fault, plan_only, plan_fault
+):
+    """A plan read from a custom network's arms that fails (a site
+    modulated twice, no probes at all) names the network's own fault
+    first; on a valid network, the plan's fault stands."""
+
+    def run_edited(edit):
+        doc = json.loads((SCENARIOS / "custom_mzi.json").read_text())
+        if not section:
+            del doc["experiment"]
+        edit(doc["network"]["arms"])
+        return run(capsys, [command, write(tmp_path, "edited.json", json.dumps(doc))])
+
+    code, out, err = run_edited(bad_network)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == dict(zip(("error", "message"), fault))
+    code, out, err = run_edited(plan_only)
+    if command == "validate" and not section:  # no plan is read
+        assert code == 0
+    else:
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema_error", "message": f"$.experiment.plan: {plan_fault}"}
+
+
 def test_exit_4_on_numeric_degeneracy(tmp_path, capsys):
     # detector on the dark output: summed amplitude is exactly zero
     doc = {

@@ -7,13 +7,15 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import build_calls
+from conftest import build_calls, uneven_runs_network
+from node_passes import topological_order
 from weaktrace import (
     Modulation,
     apply_block,
     arm_input_amplitudes,
     build_network,
     enumerate_paths,
+    netgraph,
     propagate,
     set_modulation,
     set_transmission,
@@ -102,6 +104,39 @@ def test_unitarity_tolerance_is_loose_enough_for_roundoff():
     standard_nested_mzi(bs1=nearly)  # must not raise
     with pytest.raises(NonUnitaryScatterError):
         standard_nested_mzi(bs1=[[h + 1e-5, h], [h, -h]])
+
+
+def test_unitarity_deviation_is_numpys(monkeypatch):
+    """A splitter's deviation from unitarity, the largest entry of
+    u^H u - I, is taken in plain complex arithmetic: on near-unitary
+    matrices it is numpy's expression within 1e-15, and the verdict is
+    numpy's wherever that deviation is not within a factor 2 of the
+    tolerance."""
+    rng = np.random.default_rng(25)
+    matrices, expected = [], []
+    for _ in range(4000):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        u = q + 10 ** rng.uniform(-17, -9) * noise
+        matrices.append(as_matrix2(u))
+        expected.append(float(np.max(np.abs(u.conj().T @ u - np.eye(2)))))
+    near = 0
+    for m, dev in zip(matrices, expected):
+        node = Node("BS", BEAM_SPLITTER, scatter=m)
+        with monkeypatch.context() as patch:
+            patch.setattr(netgraph, "UNITARITY_TOL", -1.0)  # every check reports its deviation
+            with pytest.raises(NonUnitaryScatterError) as err:
+                netgraph._check_unitary(node)
+        assert abs(err.value.deviation - dev) <= 1e-15
+        if 0.5e-12 <= dev <= 2e-12:
+            near += 1
+            continue
+        if dev > netgraph.UNITARITY_TOL:
+            with pytest.raises(NonUnitaryScatterError):
+                netgraph._check_unitary(node)
+        else:
+            netgraph._check_unitary(node)
+    assert 0 < near < 1000  # both sides of the tolerance are well covered
 
 
 def _tiny(arms_extra=(), nodes_extra=()):
@@ -258,7 +293,7 @@ def _splitters(*ids):
 
 # on several faults build_network names the one its checks meet first:
 # from-end before to-end, each arm in turn, then the dangling ports in node
-# and port order
+# and port order, then the source and detector counts, then a cycle
 FIRST_FAULTS = {
     "two dangling ports, first in node order": (
         [Node("SRC", SOURCE), *_splitters("BS2", "BS1"), Node("D", DETECTOR)],
@@ -295,6 +330,52 @@ FIRST_FAULTS = {
         [Arm("in", "SRC", 0, "BS", 0), Arm("o1", "BS", 0, "D", 0), Arm("o2", "BS", 0, "D2", 0)],
         PortConflictError,
         "output port ('BS', 0) feeds both arms 'o1' and 'o2'",
+    ),
+    "a dangling port behind a cycle": (
+        [Node("SRC", SOURCE), *_splitters("BS"), Node("M", MIRROR), *_splitters("X"), Node("D", DETECTOR)],
+        [
+            Arm("in", "SRC", 0, "BS", 0),
+            Arm("loop", "BS", 0, "M", 0),
+            Arm("back", "M", 0, "BS", 1),
+            Arm("on", "BS", 1, "X", 0),
+            Arm("out", "X", 0, "D", 0),
+        ],
+        DanglingPortError,
+        "output port 1 of node 'X' is not connected",
+    ),
+    "a dangling mirror output in the middle of a leg": (
+        [Node("SRC", SOURCE), Node("M1", MIRROR), Node("M2", MIRROR), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 0, "M1", 0), Arm("a", "M1", 0, "M2", 0)],
+        DanglingPortError,
+        "output port 0 of node 'M2' is not connected",
+    ),
+    "a dangling port and two sources": (
+        [Node("SRC", SOURCE), Node("SRC2", SOURCE), Node("D", DETECTOR)],
+        [Arm("in", "SRC", 0, "D", 0)],
+        DanglingPortError,
+        "output port 0 of node 'SRC2' is not connected",
+    ),
+    "a cycle and no detector": (
+        [Node("SRC", SOURCE), *_splitters("BS"), Node("M", MIRROR), Node("K", SINK)],
+        [
+            Arm("in", "SRC", 0, "BS", 0),
+            Arm("loop", "BS", 0, "M", 0),
+            Arm("back", "M", 0, "BS", 1),
+            Arm("dump", "BS", 1, "K", 0),
+        ],
+        NetworkError,
+        "network has no detector",
+    ),
+    "a pure-mirror cycle off the route": (
+        [Node("SRC", SOURCE), *(Node(m, MIRROR) for m in ("M0", "M1", "M2")), Node("D", DETECTOR)],
+        [
+            Arm("in", "SRC", 0, "M0", 0),
+            Arm("out", "M0", 0, "D", 0),
+            Arm("a", "M1", 0, "M2", 0),
+            Arm("b", "M2", 0, "M1", 0),
+        ],
+        CyclicGraphError,
+        "cycle through nodes ['M1', 'M2']",
     ),
 }
 
@@ -372,7 +453,12 @@ def test_negative_modulation_depth_rejected(std_net):
 def test_topological_order_respects_arms(std_net):
     rng = np.random.default_rng(7)
     nets = [std_net, apply_block(std_net, "A", "C")] + [random_layered_network(rng) for _ in range(20)]
-    for net in nets:
+    uneven = [uneven_runs_network(np.random.default_rng(seed)) for seed in range(60)]
+    # a topological order, though on most of these networks not the one a
+    # node-at-a-time sort gives
+    fifo = [[n.id for n in topological_order(net) if n.id in net.legs()] for net in uneven]
+    assert sum(list(net.legs()) != order for net, order in zip(uneven, fifo)) >= 40
+    for net in nets + uneven:
         for n in net.nodes:
             assert net.node_map()[n.id] is n
 

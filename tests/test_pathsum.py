@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import node_passes
-from conftest import path_by_sites
+from conftest import path_by_sites, uneven_runs_network
 from weaktrace import (
     amplitude_split,
     apply_block,
@@ -328,10 +328,12 @@ def _same(leg_pass, node_pass, where):
 def test_leg_passes_are_the_node_by_node_passes():
     """Each pass takes a leg in one step with the node-by-node arithmetic
     in its order: the same values, signs of zero included, on random
-    networks, on networks with absent couplings and blocked arms, and on
-    networks whose legs run through several mirrors."""
+    networks, on networks with absent couplings and blocked arms, on
+    branching networks whose legs end at different depths, and on networks
+    whose legs run through several mirrors."""
     nets = [random_layered_network(np.random.default_rng(seed)) for seed in range(25)]
     nets += [_with_absent_couplings(np.random.default_rng(5000 + seed))[0] for seed in range(120)]
+    nets += [uneven_runs_network(np.random.default_rng(7000 + seed)) for seed in range(60)]
     nets += _mirror_runs()
     for n, net in enumerate(nets):
         fwd, arm_in = pathsum._sweep_forward(net)
