@@ -226,6 +226,9 @@ def _check_unitary(node: Node) -> None:
     # the largest entry of u^H u - I, in plain complex arithmetic: on a 2x2,
     # numpy's set-up costs ten times the sums
     (a, b), (c, d) = node.scatter
+    # a NaN deviation passes the test below, and max may drop a NaN entry
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise NetworkError(f"scatter matrix of node {node.id!r} has a non-finite entry")
     ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
     dev = max(
         abs(ac * a + cc * c - 1),
@@ -402,7 +405,8 @@ def build_network(nodes, arms) -> Network:
         reached = {n.id for n in order}
         reached.update(end for _, ports in legs.values() for leg in ports for end, _ in leg.ends[:-1])
         stuck = sorted(node_id for node_id in by_id if node_id not in reached)
-        raise CyclicGraphError(f"cycle through nodes {stuck}")
+        more = f" and {len(stuck) - 10} more" if len(stuck) > 10 else ""
+        raise CyclicGraphError(f"cycle through nodes {stuck[:10]}{more}")
 
     return Network(nodes, arms, sources[0].id, detectors, by_id, by_label, legs)
 

@@ -12,7 +12,8 @@ set with their amplitudes summed, taken from one forward pass over the
 network.  The reading is ``weakval.post_selected_mean`` of the classes, as
 a ``pointer`` shift is of two.  Its cost is O(N K min(K, M)) in samples N,
 classes K and terms M of its moment series, and that work is bounded, as
-are N K and N times the probed sites, the size of its waveform table.
+are N K and N times the probed sites, the size of the plan's waveform
+table, which a plan builds on its first readout and keeps.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -21,9 +22,10 @@ builds may differ in the last digits of the powers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +33,9 @@ from .errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelErro
 from .netgraph import Network, apply_block
 from .pathsum import resolve_detector, signature_amplitudes
 from .weakval import post_selected_mean, readout_work
+
+if TYPE_CHECKING:
+    from .scenario import NetworkSection
 
 ABSENT_POWER_TOL = 1e-20
 NOISE_FLOOR_FACTOR = 5.0
@@ -74,6 +79,10 @@ class ModulationPlan:
     larger than ``MAX_SAMPLES``, distinct sites, and distinct integer bins
     strictly between 0 and the Nyquist bin so every probe lands on a
     resolvable line.
+
+    The waveform table, read only by ``readout_timeseries``, is built on
+    the first readout and kept, read-only, while the plan lives; it is not
+    a field, so it takes no part in equality, hash or repr.
     """
 
     sites: tuple[SiteModulation, ...]
@@ -99,6 +108,17 @@ class ModulationPlan:
             if not (math.isfinite(sm.delta) and sm.delta >= 0.0):
                 raise ValueError(f"depth {sm.delta!r} for site {sm.site!r} invalid")
 
+    @cached_property
+    def _waves(self) -> np.ndarray:
+        """Per-site displacement waveforms in units of sigma, shape (samples, sites)."""
+        n = self.samples
+        deltas = np.array([sm.delta for sm in self.sites], dtype=float)
+        bins = np.array([sm.bin for sm in self.sites], dtype=float)
+        k = np.arange(n, dtype=float)
+        waves = deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
+        waves.flags.writeable = False
+        return waves
+
 
 def default_plan(delta: float = 0.01, samples: int = DEFAULT_SAMPLES) -> ModulationPlan:
     """Equal-depth probes on the five standard sites at spread-out bins."""
@@ -108,12 +128,13 @@ def default_plan(delta: float = 0.01, samples: int = DEFAULT_SAMPLES) -> Modulat
     )
 
 
-def plan_from_network(net: Network, samples: int = DEFAULT_SAMPLES) -> ModulationPlan:
+def plan_from_network(net: Network | NetworkSection, samples: int = DEFAULT_SAMPLES) -> ModulationPlan:
     """Collect per-arm modulations declared on the network into a plan.
 
-    Only ``net.arms`` is read.  Every modulated arm must carry a site
-    label, since the plan (and the spectral report) addresses probes by
-    site.
+    Only ``net.arms`` is read, so a built ``Network`` and a parsed
+    ``scenario.NetworkSection`` both serve.  Every modulated arm must carry
+    a site label, since the plan (and the spectral report) addresses probes
+    by site.
     """
     site_mods = []
     for arm in net.arms:
@@ -151,7 +172,7 @@ def readout_timeseries(
     before any samples-sized array exists when N K passes
     ``MAX_READOUT_CELLS``, or the kernel's work passes ``MAX_READOUT_WORK``
     (the work is charged from the plan, whose summed depths bound every
-    displacement), or N times the plan's S probed sites, the size of the
+    displacement), or N times the plan's S probed sites, the size of its
     waveform table, passes ``MAX_READOUT_CELLS``.
 
     Returns
@@ -160,21 +181,6 @@ def readout_timeseries(
         ``rate`` is normalized to the unblocked static click probability
         scale, i.e. it equals |total amplitude|^2 when all depths vanish.
     """
-    return _readout(net, plan, sigma, detector, functools.partial(_waves, plan))
-
-
-def _waves(plan: ModulationPlan) -> np.ndarray:
-    """Per-site displacement waveforms in units of sigma, shape (samples, sites)."""
-    n = plan.samples
-    deltas = np.array([sm.delta for sm in plan.sites], dtype=float)
-    bins = np.array([sm.bin for sm in plan.sites], dtype=float)
-    k = np.arange(n, dtype=float)
-    return deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
-
-
-def _readout(net: Network, plan: ModulationPlan, sigma: float, detector: str | None, waves):
-    """``readout_timeseries``, where ``waves()`` gives the plan's ``_waves``
-    table; it is called only once the readout has passed its bounds."""
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ValueError(f"pointer width must be positive, got {sigma!r}")
     target = resolve_detector(net, detector)
@@ -200,7 +206,7 @@ def _readout(net: Network, plan: ModulationPlan, sigma: float, detector: str | N
         )
 
     member = np.array([[sm.site in sig for sm in plan.sites] for sig in classes], dtype=float)
-    xbar, rate = post_selected_mean(list(classes.values()), waves() @ member.T)
+    xbar, rate = post_selected_mean(list(classes.values()), plan._waves @ member.T)
     xbar *= sigma
     return xbar, rate
 
@@ -289,11 +295,6 @@ def run_spectral_experiment(
     """
     target = resolve_detector(net, detector)
     xbar, rate = readout_timeseries(net, plan, sigma, target)
-    return _analyze(plan, sigma, noise, target, xbar, rate)
-
-
-def _analyze(plan, sigma, noise, target, xbar, rate) -> SpectralReport:
-    """The spectral report of a readout: noise, spectrum, floor and peaks."""
     if noise is not None and noise.std > 0.0:
         rng = np.random.default_rng(noise.seed)
         xbar = xbar + rng.normal(0.0, noise.std, size=xbar.size)
@@ -364,6 +365,8 @@ def run_blocking_suite(
 ) -> BlockingSuite:
     """Baseline spectrum plus one rerun per blocked site, noise free.
 
+    Each configuration is one ``run_spectral_experiment`` call with the
+    given plan, so every readout reads the plan's one waveform table.
     Each configuration records the static click probability alongside the
     spectral report, so presence of peaks can be compared against how
     little the overall rate moved.  A blocked configuration whose readout
@@ -371,16 +374,12 @@ def run_blocking_suite(
     a degenerate baseline raises DegeneratePointerError naming it.
     """
     target = resolve_detector(net, detector)
-    # blocking an arm leaves the plan alone, so every configuration reads
-    # the same waveform table, made once the first readout passes its bounds
-    waves = functools.cache(functools.partial(_waves, plan))
     configs = []
     variants = [("baseline", None)] + [(f"block_{s}", s) for s in block_sites]
     for name, site in variants:
         net_c = apply_block(net, site) if site is not None else net
         try:
-            xbar, rate = _readout(net_c, plan, sigma, target, waves)
-            report = _analyze(plan, sigma, None, target, xbar, rate)
+            report = run_spectral_experiment(net_c, plan, sigma, detector=target)
         except DegeneratePointerError as exc:
             if site is None:
                 raise DegeneratePointerError(f"configuration {name!r}: {exc}") from exc

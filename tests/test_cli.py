@@ -187,6 +187,24 @@ def test_exit_3_on_invalid_network(tmp_path, capsys):
     assert json.loads(err)["error"] == "non_unitary_scatter"
 
 
+def test_cycle_error_document_is_bounded(tmp_path, capsys):
+    # a ring of 50 mirrors that nothing feeds: the document names ten of
+    # them and counts the rest, so its size does not grow with the ring
+    nodes = [{"id": "SRC", "kind": "source"}, {"id": "D", "kind": "detector"}]
+    nodes += [{"id": f"R{i:02d}", "kind": "mirror"} for i in range(50)]
+    arms = [{"id": "in", "from": ["SRC", 0], "to": ["D", 0]}]
+    arms += [{"id": f"r{i}", "from": [f"R{i:02d}", 0], "to": [f"R{(i + 1) % 50:02d}", 0]} for i in range(50)]
+    doc = {"network": {"kind": "custom", "nodes": nodes, "arms": arms}}
+    code, out, err = run(capsys, ["validate", write(tmp_path, "ring.json", json.dumps(doc))])
+    assert (code, out) == (3, "")
+    assert len(err.encode()) < 1024
+    named = ", ".join(f"'R{i:02d}'" for i in range(10))
+    assert json.loads(err) == {
+        "error": "cyclic_graph",
+        "message": f"cycle through nodes [{named}] and 40 more",
+    }
+
+
 def _label_two_arms_x(arms):
     arms[3]["label"] = "X"  # the upper arm's label, on the modulated lower arm
 
@@ -876,7 +894,7 @@ def test_waveform_table_bound_exits_3_before_the_table(tmp_path, capsys, monkeyp
     def refuse(plan):
         raise AssertionError("the waveform table was built")
 
-    monkeypatch.setattr(spectra, "_waves", refuse)
+    monkeypatch.setattr(spectra.ModulationPlan, "_waves", property(refuse))
     # 33 probed sites off the only route to D pass the class and work
     # bounds with one class, but their table would be 2**20 x 33 floats
     doc = dead_branch_scenario(33, 2**20)

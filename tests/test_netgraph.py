@@ -139,6 +139,30 @@ def test_unitarity_deviation_is_numpys(monkeypatch):
     assert 0 < near < 1000  # both sides of the tolerance are well covered
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("part", range(8))
+def test_non_finite_scatter_entry_rejected(part, bad):
+    # a NaN makes the deviation NaN, which no tolerance test refuses; the
+    # entry is refused, in any of the 8 real and imaginary parts, before
+    # the deviation is taken
+    h = 0.5**0.5
+    parts = [h, 0.0, h, 0.0, h, 0.0, -h, 0.0]
+    parts[part] = bad
+    entries = [complex(parts[i], parts[i + 1]) for i in range(0, 8, 2)]
+    scatter = (tuple(entries[:2]), tuple(entries[2:]))
+    nodes = [
+        Node("SRC", SOURCE),
+        Node("BS", BEAM_SPLITTER, scatter=scatter),
+        Node("D", DETECTOR),
+        Node("K", SINK),
+    ]
+    arms = [Arm("in", "SRC", 0, "BS", 0), Arm("out", "BS", 0, "D", 0), Arm("dump", "BS", 1, "K", 0)]
+    with pytest.raises(NetworkError) as err:
+        build_network(nodes, arms)
+    assert type(err.value) is NetworkError
+    assert str(err.value) == "scatter matrix of node 'BS' has a non-finite entry"
+
+
 def _tiny(arms_extra=(), nodes_extra=()):
     nodes = [Node("SRC", SOURCE), Node("D", DETECTOR)] + list(nodes_extra)
     arms = [Arm("in", "SRC", 0, "D", 0)] + list(arms_extra)
@@ -376,6 +400,12 @@ FIRST_FAULTS = {
         ],
         CyclicGraphError,
         "cycle through nodes ['M1', 'M2']",
+    ),
+    "a 50-mirror cycle off the route: ten named, the rest counted": (
+        [Node("SRC", SOURCE), Node("D", DETECTOR), *(Node(f"R{i:02d}", MIRROR) for i in range(50))],
+        [Arm("in", "SRC", 0, "D", 0), *(Arm(f"r{i}", f"R{i:02d}", 0, f"R{(i + 1) % 50:02d}", 0) for i in range(50))],
+        CyclicGraphError,
+        "cycle through nodes ['R00', 'R01', 'R02', 'R03', 'R04', 'R05', 'R06', 'R07', 'R08', 'R09'] and 40 more",
     ),
 }
 

@@ -289,7 +289,7 @@ def test_waveform_table_is_charged_its_probed_sites(monkeypatch):
     def refuse(plan):
         raise AssertionError("the waveform table was built")
 
-    monkeypatch.setattr(spectra, "_waves", refuse)
+    monkeypatch.setattr(spectra.ModulationPlan, "_waves", property(refuse))
     monkeypatch.setattr(spectra, "MAX_READOUT_CELLS", 64 * 3 - 1)
     with pytest.raises(TooManyRoutesError) as err:
         readout_timeseries(net, plan, sigma=1.0)
@@ -369,6 +369,66 @@ def test_spectral_determinism(std_net):
         std_net, default_plan(0.01), 1.0, noise=NoiseModel(std=1e-4, seed=12346)
     )
     assert not np.array_equal(a.xbar, c.xbar)
+
+
+def _report_bits(report):
+    """Every field of a spectral report, arrays as their bytes."""
+    return tuple(
+        (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+        for v in vars(report).values()
+    )
+
+
+def test_a_plan_builds_its_waveform_table_once(std_net, monkeypatch):
+    """One plan read out on two networks and through a three-configuration
+    blocking suite builds its table of per-site sines once, and every
+    report is, bit for bit, the one a fresh equal plan gives."""
+    rng = np.random.default_rng(26)
+    other = standard_nested_mzi(bs2=random_unitary_2x2(rng), bs3=random_unitary_2x2(rng))
+    deltas = {"A": 0.01, "B": 0.02, "C": 0.005, "E": 0.01, "F": 0.015}
+    noise = NoiseModel(std=1e-4, seed=7)
+    sines = []
+    real = np.sin
+    monkeypatch.setattr(np, "sin", lambda *a, **kw: sines.append(1) or real(*a, **kw))
+    plan = plan_with(deltas, samples=1024)
+    shared = [
+        run_spectral_experiment(std_net, plan, 1.0),
+        run_spectral_experiment(other, plan, 0.5, noise=noise),
+    ] + [c.report for c in run_blocking_suite(other, plan, 0.5, block_sites=("E", "C")).configs]
+    assert len(sines) == 1
+
+    def fresh(net, sigma, noise=None):
+        return run_spectral_experiment(net, plan_with(deltas, samples=1024), sigma, noise=noise)
+
+    alone = [
+        fresh(std_net, 1.0),
+        fresh(other, 0.5, noise),
+        fresh(other, 0.5),
+        fresh(apply_block(other, "E"), 0.5),
+        fresh(apply_block(other, "C"), 0.5),
+    ]
+    assert len(sines) == 1 + len(alone)
+    assert [_report_bits(r) for r in shared] == [_report_bits(r) for r in alone]
+
+
+def test_the_waveform_table_is_read_only(std_net):
+    plan = default_plan(0.01, samples=64)
+    run_spectral_experiment(std_net, plan)
+    with pytest.raises(ValueError, match="read-only"):
+        plan._waves[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        plan._waves *= 2.0
+
+
+def test_a_plan_with_its_table_equals_a_fresh_plan(std_net):
+    plan = default_plan(0.01, samples=64)
+    before = (hash(plan), repr(plan))
+    run_spectral_experiment(std_net, plan)
+    assert "_waves" in vars(plan)  # the table was built and kept
+    fresh = default_plan(0.01, samples=64)
+    assert plan == fresh and fresh == plan
+    assert hash(plan) == hash(fresh) == before[0]
+    assert repr(plan) == repr(fresh) == before[1]
 
 
 def test_noise_model_rejects_negative_seed():
