@@ -13,7 +13,8 @@ network.  The reading is ``weakval.post_selected_mean`` of the classes, as
 a ``pointer`` shift is of two.  Its cost is O(N K min(K, M)) in samples N,
 classes K and terms M of its moment series, and that work is bounded, as
 are N K and N times the probed sites, the size of the plan's waveform
-table, which a plan builds on its first readout and keeps.
+table, which a plan builds on its first readout and keeps, computing each
+site's sine over the whole row of samples at once.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -23,7 +24,7 @@ builds may differ in the last digits of the powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -81,8 +82,10 @@ class ModulationPlan:
     resolvable line.
 
     The waveform table, read only by ``readout_timeseries``, is built on
-    the first readout and kept, read-only, while the plan lives; it is not
-    a field, so it takes no part in equality, hash or repr.
+    the first readout and kept, read-only, while the plan lives; it is
+    computed sites-major and stored as (samples, sites).  It is not a
+    field, so it takes no part in equality, hash or repr, and a pickled or
+    copied plan carries only its fields and builds its own table.
     """
 
     sites: tuple[SiteModulation, ...]
@@ -108,14 +111,23 @@ class ModulationPlan:
             if not (math.isfinite(sm.delta) and sm.delta >= 0.0):
                 raise ValueError(f"depth {sm.delta!r} for site {sm.site!r} invalid")
 
+    def __getstate__(self):
+        # the fields alone: a copy or an unpickled plan builds its own table
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def _waves(self) -> np.ndarray:
-        """Per-site displacement waveforms in units of sigma, shape (samples, sites)."""
+        """Per-site displacement waveforms in units of sigma, shape (samples, sites).
+
+        The sines are computed sites-major, a row of samples per site, and
+        stored as their C-ordered (samples, sites) transpose, the same bits.
+        """
         n = self.samples
         deltas = np.array([sm.delta for sm in self.sites], dtype=float)
         bins = np.array([sm.bin for sm in self.sites], dtype=float)
         k = np.arange(n, dtype=float)
-        waves = deltas[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / n)
+        waves = deltas[:, None] * np.sin(2.0 * np.pi * bins[:, None] * k / n)  # (sites, samples)
+        waves = np.ascontiguousarray(waves.T)
         waves.flags.writeable = False
         return waves
 

@@ -191,20 +191,30 @@ def pointer_profile(x, sigma: float):
 
 
 def _pair_sums(amps: np.ndarray, disp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and rate of ``post_selected_mean`` from the K^2 pair overlaps."""
-    weights = np.real(np.outer(amps, amps.conj()))  # symmetric, (K, K)
+    """Numerator and rate of ``post_selected_mean`` from the K^2 pair overlaps.
+
+    The sums run over sample-major chunks: each chunk's displacements are
+    copied to (K, s), its overlaps form a (K, K, s) block, and the sums over
+    j, then over i, go in index order, a whole row of s samples at a time.
+    For K <= 7 the bits, signs of zero included, equal those of the
+    (s, K, K) form that sums each reading's K^2 terms; from K = 8 numpy
+    sums those terms pairwise, so the two differ in the last bits.
+    """
+    weights = np.real(np.outer(amps, amps.conj()))[:, :, None]  # symmetric, (K, K, 1)
     num, rate = np.empty((2, disp.shape[0]))
     # chunks of about 512 kB of pair overlaps, which stay in cache
     step = max(1, 65536 // amps.size**2)
     for lo in range(0, disp.shape[0], step):
-        d = disp[lo : lo + step]
-        ov = d[:, :, None] - d[:, None, :]
+        d = disp[lo : lo + step].T.copy()  # (K, s), one chunk at a time
+        ov = d[:, None, :] - d[None, :, :]
         ov *= ov
         ov *= -0.125
         np.exp(ov, out=ov)
-        rows = np.einsum("kij,ij->ki", ov, weights)  # r_i per reading, (step, K)
-        rate[lo : lo + step] = rows.sum(axis=1)
-        num[lo : lo + step] = (d * rows).sum(axis=1)
+        ov *= weights
+        rows = ov.sum(axis=1)  # r_i per reading, (K, s)
+        rows.sum(axis=0, out=rate[lo : lo + step])
+        rows *= d
+        rows.sum(axis=0, out=num[lo : lo + step])
     return num, rate
 
 
@@ -290,7 +300,9 @@ def post_selected_mean(amps, disp) -> tuple[np.ndarray, np.ndarray]:
     reading.  With t = max|d|^2 / 4, the series stops at the first M with
     t^M / M! * e^t <= SERIES_TOL, which bounds the remainder, at a cost of
     O(n K M).  It runs when t <= SERIES_MAX_T and K > M + 2; otherwise the
-    K^2 pair overlaps are summed directly, at a cost of O(n K^2).
+    K^2 pair overlaps are summed directly, at a cost of O(n K^2), over
+    sample-major chunks whose bits equal those of the (n, K, K) form of
+    the overlaps for K <= 7.
 
     Returns (mean, rate), arrays of length n, the mean in units of sigma.
     Raises DegeneratePointerError when a rate is below DEGENERATE_NORM_TOL,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def kernel_calls(monkeypatch, name):
 
     monkeypatch.setattr(weakval, name, counted)
     return calls
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory it traced beyond what was
+    held when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def count_sweeps(monkeypatch):

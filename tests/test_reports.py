@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hadamard_cascade_scenario, reference_csv, reference_render_json
+from conftest import hadamard_cascade_scenario, reference_csv, reference_render_json, traced_peak
 from weaktrace import reports
 from weaktrace.cli import main
 from weaktrace.errors import NonFiniteResultError
@@ -122,23 +122,6 @@ def test_csv_index_column_to_2_20_rows():
     text = reports.spectrum_csv(power)
     assert text == reference_csv("bin,power", power)
     assert text.endswith("\n1048575,0\n")
-
-
-def traced_peak(call, *args):
-    """``call(*args)`` and the peak of the memory it traced beyond what was
-    held when it started."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        result = call(*args)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return result, peak
 
 
 def test_spectrum_csv_holds_one_copy():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +431,42 @@ def test_a_plan_with_its_table_equals_a_fresh_plan(std_net):
     assert plan == fresh and fresh == plan
     assert hash(plan) == hash(fresh) == before[0]
     assert repr(plan) == repr(fresh) == before[1]
+
+
+def test_a_read_out_plan_pickles_and_copies_its_fields_alone(std_net):
+    """A pickled or copied plan leaves the table behind: it pickles to the
+    size of a fresh plan, and a copy builds its own read-only table."""
+    plan = default_plan(0.01, samples=2**16)
+    fresh_size = len(pickle.dumps(default_plan(0.01, samples=2**16)))
+    run_spectral_experiment(std_net, plan)
+    assert "_waves" in vars(plan)
+    assert len(pickle.dumps(plan)) == fresh_size
+    for copied in (copy.copy(plan), copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+        assert "_waves" not in vars(copied)
+        assert copied == plan and hash(copied) == hash(plan)
+        run_spectral_experiment(std_net, copied)
+        assert copied._waves is not plan._waves and np.array_equal(copied._waves, plan._waves)
+        with pytest.raises(ValueError, match="read-only"):
+            copied._waves[0, 0] = 1.0
+
+
+def test_the_waveform_table_holds_the_samples_major_sines():
+    """Computed sites-major, the table is stored as the C-ordered (samples,
+    sites) array of the sines taken sample by sample, the same bits."""
+    rng = np.random.default_rng(27)
+    for samples in (64, 4096, 2**16):
+        bins = rng.choice(np.arange(1, samples // 2), size=5, replace=False)
+        deltas = [0.01, 0.3, 0.0, 1.7, 2e-5]
+        plan = ModulationPlan(
+            tuple(SiteModulation(f"s{i}", d, int(b)) for i, (d, b) in enumerate(zip(deltas, bins))),
+            samples,
+        )
+        k = np.arange(samples, dtype=float)
+        expected = np.array(deltas)[None, :] * np.sin(2.0 * np.pi * bins[None, :] * k[:, None] / samples)
+        table = plan._waves
+        assert table.shape == (samples, 5) and table.flags.c_contiguous
+        assert np.array_equal(table, expected)
+        assert np.array_equal(np.signbit(table), np.signbit(expected))
 
 
 def test_noise_model_rejects_negative_seed():

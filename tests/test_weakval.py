@@ -7,12 +7,14 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pair_sums_ref
 from conftest import (
     count_sweeps,
     kernel_calls,
     path_by_sites,
     route_amplitude_split,
     route_weak_value,
+    traced_peak,
     two_state_split,
 )
 from weaktrace import (
@@ -386,6 +388,53 @@ def test_small_kernels_stay_on_the_pair_sums(monkeypatch, std_net):
     pointer_shift_exact(amps, PointerModel(site="B", sigma=1.0, coupling=1e-3))
     weakval.post_selected_mean(np.ones(3), np.zeros((4, 3)))
     assert series == [] and pairs == [(2,), (3,)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(1, 12),
+    length=st.sampled_from(["1", "2", "step - 1", "step", "step + 1", "4096"]),
+    reach=st.sampled_from([1e-3, 0.5, 3.0, 40.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_pair_sums_equal_the_reference_kernel(seed, classes, length, reach):
+    # one reading, chunk edges and a full readout; some readings far enough
+    # apart that their overlaps underflow to 0 (a negative weight times 0
+    # is -0.0), exact zeros and -0.0 among the displacements, and a class
+    # of amplitude 0
+    step = 65536 // classes**2
+    n = {"1": 1, "2": 2, "step - 1": step - 1, "step": step, "step + 1": step + 1, "4096": 4096}[length]
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=classes) + 1j * rng.normal(size=classes)
+    amps[rng.integers(classes)] = 0.0
+    disp = rng.uniform(-reach, reach, size=(n, classes))
+    disp[rng.random((n, classes)) < 0.2] = 0.0
+    disp[rng.random((n, classes)) < 0.2] = -0.0
+    num, rate = weakval._pair_sums(amps, disp)
+    ref_num, ref_rate = pair_sums_ref.pair_sums(amps, disp)
+    if classes <= 7:
+        for got, ref in ((num, ref_num), (rate, ref_rate)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+    else:
+        # from K = 8 the reference sums a reading's terms pairwise: the
+        # bounds of the series against the pairs at the switch points
+        scale = np.sum(np.abs(amps)) ** 2
+        assert np.max(np.abs(rate - ref_rate)) <= 1e-13 * scale
+        assert np.max(np.abs(num - ref_num)) <= 1e-13 * scale * np.max(np.abs(disp))
+
+
+def test_pair_sums_hold_no_whole_array_copy(monkeypatch):
+    """A (2**18, 3) pair readout: beyond its two outputs, the kernel holds
+    a chunk's worth of arrays, never a copy of all the readings."""
+    pairs = kernel_calls(monkeypatch, "_pair_sums")
+    n = 2**18
+    rng = np.random.default_rng(27)
+    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+    disp = rng.uniform(-0.1, 0.1, size=(n, 3))
+    (mean, rate), peak = traced_peak(weakval.post_selected_mean, amps, disp)
+    assert pairs == [(3,)] and mean.shape == rate.shape == (n,)
+    assert peak <= 16 * n + 2 * 2**20
 
 
 @given(
