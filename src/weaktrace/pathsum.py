@@ -16,11 +16,12 @@ a node-by-node pass gives.  Three passes serve different readers:
   to one detector, applying each splitter transposed.  With the forward
   sweep it gives every site's two-state weak value
   (``weakval.weak_values``) and the split of ``weakval.amplitude_split``.
-- ``_forward`` keeps one amplitude per signature, the probed site labels
-  a route has passed, and so yields the summed amplitude of every
-  signature class (``signature_amplitudes``), which the spectral readout
-  needs.  With nothing probed it is the forward sweep bit for bit, and it
-  serves the tests as that sweep's oracle.
+- ``_forward`` keeps one amplitude per signature, an int mask of the
+  probed sites a route has passed, and so yields the summed amplitude of
+  every signature class: the spectral readout takes the masks as they
+  are, and ``signature_amplitudes`` turns them into site tuples.  With
+  nothing probed it is the forward sweep bit for bit, and it serves the
+  tests as that sweep's oracle.
 
 A sweep costs one update per arm, so it needs no step bound.  The
 signature pass costs one per arm and class, which can double with every
@@ -78,25 +79,27 @@ class PathEnsemble:
     total: complex
 
 
-def _forward(net: Network, probed=frozenset()):
+def _forward(net: Network, probed=()):
     """Propagate the unit source amplitude through every leg, by signature.
 
-    A route's signature is the tuple of ``probed`` site labels it passes,
-    in route order (one order per site set, since the graph is acyclic).
-    Every port and arm carries a map {signature: summed amplitude of the
-    routes with that signature}; with nothing probed, each map holds at
-    most the empty signature.  As in ``enumerate_paths``, no route takes a
-    zero splitter entry.  Returns (in_amp, arm_in): the maps arriving at
-    each (node, port) and entering each arm (before its own factor applies).
+    A route's signature is an int mask: bit i is set when the route passes
+    ``probed[i]``, a sequence of distinct site labels.  Every port and arm
+    carries a map {signature: summed amplitude of the routes with that
+    signature}, in first-seen order; with nothing probed, each map holds at
+    most the mask 0.  As in ``enumerate_paths``, no route takes a zero
+    splitter entry.  Returns (in_amp, arm_in): the maps arriving at each
+    (node, port) and entering each arm (before its own factor applies).
+    ``build_network`` lets one arm at most feed an input port, so the map
+    an arm delivers is the whole map of the port it ends at.
 
     Each map-entry update is one step; past ``MAX_ROUTE_STEPS`` steps the
     pass raises TooManyRoutesError.  A probed site that no arm carries
-    raises UnknownLabelError.
+    raises UnknownLabelError, for the first such site in ``probed``.
     """
-    in_amp: dict[tuple[str, int], dict[tuple[str, ...], complex]] = {}
-    arm_in: dict[str, dict[tuple[str, ...], complex]] = {}
-    # the site each probed arm adds to a signature
-    probed_arms = {net.labeled_arm(s).id: (s,) for s in probed}
+    in_amp: dict[tuple[str, int], dict[int, complex]] = {}
+    arm_in: dict[str, dict[int, complex]] = {}
+    # the bit each probed arm sets in a signature
+    probed_arms = {net.labeled_arm(s).id: 1 << i for i, s in enumerate(probed)}
     steps = 0
     for node, legs in net.legs().values():
         if node.kind == BEAM_SPLITTER:
@@ -111,7 +114,7 @@ def _forward(net: Network, probed=frozenset()):
                 for row in node.scatter
             ]
         elif node.kind == SOURCE:
-            outs = [{(): 1.0 + 0j}]
+            outs = [{0: 1.0 + 0j}]
         else:  # a mirror that no arm feeds
             outs = [{}]
         for leg, amps in zip(legs, outs):
@@ -123,13 +126,10 @@ def _forward(net: Network, probed=frozenset()):
                         f"amplitude propagation passed {MAX_ROUTE_STEPS} steps; "
                         f"the network has too many probed-site signatures"
                     )
-                # an arm of transmission 0 zeroes its routes but keeps their signatures
-                site = probed_arms.get(arm_id, ())
-                dest = in_amp.setdefault(end, {})
-                for sig, amp in amps.items():
-                    key = sig + site
-                    dest[key] = dest.get(key, 0j) + amp * factor
-                amps = dest  # a fed mirror relays what reaches it
+                # an arm of transmission 0 zeroes its routes but keeps their signatures;
+                # a fed mirror relays what reaches it
+                bit = probed_arms.get(arm_id, 0)
+                amps = in_amp[end] = {sig | bit: 0j + amp * factor for sig, amp in amps.items()}
     return in_amp, arm_in
 
 
@@ -229,18 +229,25 @@ def signature_amplitudes(net: Network, sites, detector: str | None = None) -> di
 
     Routes to the detector are grouped by the tuple of ``sites`` they
     pass, in route order, and their amplitudes summed within each group:
-    one forward pass, no route enumeration.  Classes of blocked routes
-    are present with amplitude zero, a zero splitter entry adds no class,
-    and an empty result means no route reaches the detector.  Raises
-    UnknownLabelError for a site no arm carries and TooManyRoutesError
-    past ``MAX_ROUTE_STEPS`` map updates.
+    one forward pass, no route enumeration.  A site listed twice counts
+    once.  Classes of blocked routes are present with amplitude zero, a
+    zero splitter entry adds no class, and an empty result means no route
+    reaches the detector.  Raises UnknownLabelError for the first site no
+    arm carries and TooManyRoutesError past ``MAX_ROUTE_STEPS`` map
+    updates.
     """
     target = resolve_detector(net, detector)
     sites = tuple(sites)
     for site in sites:
         net.labeled_arm(site)  # raises UnknownLabelError for an unknown site
-    in_amp, _ = _forward(net, frozenset(sites))
-    return in_amp.get((target, 0), {})
+    # the probed sites in leg order, which every route passes them in
+    wanted = set(sites)
+    order = [s for _, legs in net.legs().values() for leg in legs for s in leg.sites if s in wanted]
+    in_amp, _ = _forward(net, order)
+    return {
+        tuple(s for i, s in enumerate(order) if sig >> i & 1): amp
+        for sig, amp in in_amp.get((target, 0), {}).items()
+    }
 
 
 def resolve_detector(net: Network, detector: str | None) -> str:

@@ -9,12 +9,15 @@ a site leaves a peak at its bin with power proportional to the square of
 A route's displacement depends only on which probed sites it passes, so
 the readout works on signature classes, the routes grouped by that site
 set with their amplitudes summed, taken from one forward pass over the
-network.  The reading is ``weakval.post_selected_mean`` of the classes, as
-a ``pointer`` shift is of two.  Its cost is O(N K min(K, M)) in samples N,
-classes K and terms M of its moment series, and that work is bounded, as
-are N K and N times the probed sites, the size of the plan's waveform
-table, which a plan builds on its first readout and keeps, computing each
-site's sine over the whole row of samples at once.
+network.  Each class is keyed by an int mask, bit i for the plan's i-th
+site, and the masks give the classes x sites membership matrix that maps
+the site waveforms to class displacements.  The reading is
+``weakval.post_selected_mean`` of the classes, as a ``pointer`` shift is
+of two.  Its cost is O(N K min(K, M)) in samples N, classes K and terms M
+of its moment series, and that work is bounded, as are N K and N times
+the probed sites, the size of the plan's waveform table, which a plan
+builds on its first readout and keeps, computing each site's sine over
+the whole row of samples at once.
 
 The transform is numpy's real FFT over a power-of-two sample count.
 Identical inputs give bit-identical spectra on one numpy build; other
@@ -30,9 +33,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import pathsum
 from .errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelError
 from .netgraph import Network, apply_block
-from .pathsum import resolve_detector, signature_amplitudes
+from .pathsum import resolve_detector
 from .weakval import post_selected_mean, readout_work
 
 if TYPE_CHECKING:
@@ -175,12 +179,17 @@ def readout_timeseries(
     displacement D_S(k) = sum over S of delta * sigma * sin(2 pi b k / N).
     The displacement depends on the route only through S, its signature,
     so the routes are summed into one amplitude per signature class by a
-    single forward pass (``pathsum.signature_amplitudes``), and no route
-    is ever enumerated.  ``weakval.post_selected_mean`` of the K classes
-    gives the reading, exact in the depths up to a series remainder below
-    1e-18, at a cost of O(N K M) from M + 1 amplitude moments per sample
-    while the displacements stay within twice the width and K > M + 2,
-    else O(N K^2) from the class pairs.  TooManyRoutesError is raised
+    single forward pass (``pathsum._forward`` over the plan's sites), and
+    no route is ever enumerated.  The pass keys each class by the mask of
+    its sites, bit i for ``plan.sites[i]``, and the masks' bits, unpacked
+    in numpy for any number of sites, are the membership matrix that sums
+    the site waveforms into class displacements.  A plan site that no arm
+    carries raises UnknownLabelError, for the first such site.
+    ``weakval.post_selected_mean`` of the K classes gives the reading,
+    exact in the depths up to a series remainder below 1e-18, at a cost of
+    O(N K M) from M + 1 amplitude moments per sample while the
+    displacements stay within twice the width and K > M + 2, else
+    O(N K^2) from the class pairs.  TooManyRoutesError is raised
     before any samples-sized array exists when N K passes
     ``MAX_READOUT_CELLS``, or the kernel's work passes ``MAX_READOUT_WORK``
     (the work is charged from the plan, whose summed depths bound every
@@ -196,7 +205,8 @@ def readout_timeseries(
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ValueError(f"pointer width must be positive, got {sigma!r}")
     target = resolve_detector(net, detector)
-    classes = signature_amplitudes(net, [sm.site for sm in plan.sites], target)
+    in_amp, _ = pathsum._forward(net, [sm.site for sm in plan.sites])
+    classes = in_amp.get((target, 0), {})
     if not classes:
         raise DegeneratePointerError(f"no paths reach detector {target!r}")
     n, k = plan.samples, len(classes)
@@ -217,7 +227,11 @@ def readout_timeseries(
             f"{MAX_READOUT_CELLS} samples x sites"
         )
 
-    member = np.array([[sm.site in sig for sm in plan.sites] for sig in classes], dtype=float)
+    # bit i of each mask, from its little-endian bytes: (classes, sites)
+    width = (len(deltas) + 7) // 8
+    masks = b"".join(sig.to_bytes(width, "little") for sig in classes)
+    bits = np.frombuffer(masks, dtype=np.uint8).reshape(k, width)
+    member = np.unpackbits(bits, axis=1, count=len(deltas), bitorder="little").astype(float)
     xbar, rate = post_selected_mean(list(classes.values()), plan._waves @ member.T)
     xbar *= sigma
     return xbar, rate
@@ -320,14 +334,10 @@ def run_spectral_experiment(
     median = float(np.median(power[:half][off])) if off.any() else 0.0
     floor = max(NOISE_FLOOR_FACTOR * median, ABSENT_POWER_TOL)
 
+    powers = power[[sm.bin for sm in plan.sites]].tolist()
     peaks = tuple(
-        SitePeak(
-            site=sm.site,
-            bin=sm.bin,
-            power=float(power[sm.bin]),
-            classification=_classify(float(power[sm.bin]), floor),
-        )
-        for sm in plan.sites
+        SitePeak(site=sm.site, bin=sm.bin, power=p, classification=_classify(p, floor))
+        for sm, p in zip(plan.sites, powers)
     )
     return SpectralReport(
         detector=target,

@@ -259,7 +259,7 @@ def readout_work(samples: int, classes: int, reach: float) -> int:
 def _moment_sums(amps: np.ndarray, disp: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and rate of ``post_selected_mean`` from the amplitude moments
     S_m = sum_i A_i g_i d_i^m, m <= order, of each reading."""
-    parts = np.stack([amps.real, amps.imag], axis=1)  # (K, 2)
+    parts = amps.view(float).reshape(-1, 2)  # (K, 2): Re, Im
     coef = np.array([1.0 / (4.0**m * math.factorial(m)) for m in range(order)])
     num, rate = np.empty((2, disp.shape[0]))
     # chunks of about 256 kB of (step, K) moment terms, which stay in cache
@@ -308,7 +308,7 @@ def post_selected_mean(amps, disp) -> tuple[np.ndarray, np.ndarray]:
     Raises DegeneratePointerError when a rate is below DEGENERATE_NORM_TOL,
     naming the reading (row of ``disp``) with the smallest rate.
     """
-    amps = np.asarray(amps, dtype=complex)
+    amps = np.ascontiguousarray(amps, dtype=complex)  # the series views it as (K, 2) floats
     reach = max(float(np.max(disp)), -float(np.min(disp)))
     order = _series_terms(reach * reach / 4.0, amps.size)
     # a separation far beyond the width squares to inf, and exp(-inf) = 0

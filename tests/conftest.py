@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from weaktrace import (
+    apply_block,
     enumerate_paths,
     netgraph,
     pathsum,
@@ -26,7 +28,7 @@ from weaktrace.netgraph import (
     hadamard,
 )
 from weaktrace.errors import NonFiniteResultError
-from weaktrace.randomnet import random_unitary_2x2
+from weaktrace.randomnet import random_layered_network, random_unitary_2x2
 from node_passes import arms_by_port, topological_order
 
 
@@ -251,6 +253,27 @@ def uneven_runs_network(rng: np.random.Generator, splitters: int = 8):
     return build_network(
         [nodes[i] for i in rng.permutation(len(nodes))], [arms[i] for i in rng.permutation(len(arms))]
     )
+
+
+SWAP = ((0j, 1 + 0j), (1 + 0j, 0j))
+IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+
+
+def with_absent_couplings(rng: np.random.Generator):
+    """A random layered network with about 40 % of its splitters replaced by
+    a swap or an identity, whose zero entries are absent couplings, and
+    about 20 % of its labeled arms blocked; and how many were replaced."""
+    net = random_layered_network(rng, 6)
+    nodes = [
+        dataclasses.replace(n, scatter=(SWAP, IDENTITY)[rng.integers(2)])
+        if n.kind == BEAM_SPLITTER and rng.uniform() < 0.4
+        else n
+        for n in net.nodes
+    ]
+    replaced = sum(a is not b for a, b in zip(nodes, net.nodes))
+    net = build_network(nodes, net.arms)
+    blocked = [s for s in sorted(net.site_labels()) if rng.uniform() < 0.2]
+    return apply_block(net, *blocked), replaced
 
 
 def two_state_split(net, site, detector):

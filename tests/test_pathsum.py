@@ -1,11 +1,10 @@
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
 
 import node_passes
-from conftest import path_by_sites, uneven_runs_network
+from conftest import path_by_sites, uneven_runs_network, with_absent_couplings
 from weaktrace import (
     amplitude_split,
     apply_block,
@@ -199,34 +198,13 @@ def test_random_networks_blocking_never_adds_paths():
         )
 
 
-SWAP = ((0j, 1 + 0j), (1 + 0j, 0j))
-IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
-
-
-def _with_absent_couplings(rng):
-    """A random layered network with about 40 % of its splitters replaced by
-    a swap or an identity, whose zero entries are absent couplings, and
-    about 20 % of its labeled arms blocked; and how many were replaced."""
-    net = random_layered_network(rng, 6)
-    nodes = [
-        dataclasses.replace(n, scatter=(SWAP, IDENTITY)[rng.integers(2)])
-        if n.kind == BEAM_SPLITTER and rng.uniform() < 0.4
-        else n
-        for n in net.nodes
-    ]
-    replaced = sum(a is not b for a, b in zip(nodes, net.nodes))
-    net = build_network(nodes, net.arms)
-    blocked = [s for s in sorted(net.site_labels()) if rng.uniform() < 0.2]
-    return apply_block(net, *blocked), replaced
-
-
 def test_signature_classes_are_the_routes_grouped_by_sites():
     """No route takes a zero splitter entry, so the signature pass adds no
     class for it: its classes are the walk's routes grouped by the sites
     they pass, blocked routes included, with the same summed amplitudes."""
     replaced = 0
     for seed in range(120):
-        net, count = _with_absent_couplings(np.random.default_rng(5000 + seed))
+        net, count = with_absent_couplings(np.random.default_rng(5000 + seed))
         replaced += count
         sites = sorted(net.site_labels())
         for det in net.detectors:
@@ -240,14 +218,24 @@ def test_signature_classes_are_the_routes_grouped_by_sites():
     assert replaced > 100
 
 
+def by_sites(maps, probed):
+    """The signature pass's maps with each mask turned into the tuple of the
+    sites whose bits it sets, in ``probed`` order: the keys of
+    ``node_passes.forward`` when ``probed`` is in route order."""
+    return {
+        where: {tuple(s for i, s in enumerate(probed) if sig >> i & 1): amp for sig, amp in amps.items()}
+        for where, amps in maps.items()
+    }
+
+
 def test_sweeps_are_the_unprobed_signature_pass():
     """The forward sweep is the signature pass with nothing probed, bit for
     bit (repr pins signs of zero), absent couplings and unfed splitter
     inputs included; the backward sweep's value at the source is the
     amplitude the forward sweep brings to each detector."""
     for seed in range(120):
-        net, _ = _with_absent_couplings(np.random.default_rng(5000 + seed))
-        in_amp, arm_in = pathsum._forward(net)
+        net, _ = with_absent_couplings(np.random.default_rng(5000 + seed))
+        in_amp, arm_in = (by_sites(maps, ()) for maps in pathsum._forward(net))
         assert repr(arm_input_amplitudes(net)) == repr(
             {arm: amps.get((), 0j) for arm, amps in arm_in.items()}
         ), seed
@@ -332,7 +320,7 @@ def test_leg_passes_are_the_node_by_node_passes():
     branching networks whose legs end at different depths, and on networks
     whose legs run through several mirrors."""
     nets = [random_layered_network(np.random.default_rng(seed)) for seed in range(25)]
-    nets += [_with_absent_couplings(np.random.default_rng(5000 + seed))[0] for seed in range(120)]
+    nets += [with_absent_couplings(np.random.default_rng(5000 + seed))[0] for seed in range(120)]
     nets += [uneven_runs_network(np.random.default_rng(7000 + seed)) for seed in range(60)]
     nets += _mirror_runs()
     for n, net in enumerate(nets):
@@ -340,9 +328,13 @@ def test_leg_passes_are_the_node_by_node_passes():
         ref_fwd, ref_arm_in = node_passes.sweep_forward(net)
         _same(fwd, ref_fwd, n)
         _same(arm_in, ref_arm_in, n)
-        for probed in (frozenset(), net.site_labels()):
-            in_amp, arm_maps = pathsum._forward(net, probed)
-            ref_in_amp, ref_arm_maps = node_passes.forward(net, probed)
+        # the sites in the order a node-at-a-time sort reaches their arms,
+        # which is route order along every route
+        rank = {node.id: i for i, node in enumerate(node_passes.topological_order(net))}
+        in_route_order = sorted(net.site_labels(), key=lambda s: rank[net.labeled_arm(s).from_node])
+        for probed in ([], in_route_order):
+            in_amp, arm_maps = (by_sites(maps, probed) for maps in pathsum._forward(net, probed))
+            ref_in_amp, ref_arm_maps = node_passes.forward(net, frozenset(probed))
             _same(in_amp, ref_in_amp, n)
             _same(arm_maps, ref_arm_maps, n)
         for det in net.detectors:
@@ -372,6 +364,43 @@ def test_require_sites_names_the_first_unknown_site(std_net):
     # the signature pass itself refuses a probed site that no arm carries
     with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
         pathsum._forward(std_net, frozenset({"A", "Z"}))
+
+
+def test_signature_amplitudes_keep_their_contract(std_net):
+    """Keys are tuples of the requested sites in route order, whatever order
+    the sites are asked in and however often, and classes come in
+    first-seen order; a blocked class stays at amplitude 0, and a detector
+    that no route reaches has no classes."""
+    assert repr(signature_amplitudes(std_net, "FCEBA")) == (
+        "{('E', 'A', 'F'): (0.24999999999999992+0j), ('E', 'B', 'F'): (-0.24999999999999992+0j), "
+        "('C',): (0.4999999999999999+0j)}"
+    )
+    assert repr(signature_amplitudes(std_net, ["F", "A", "F"])) == (
+        "{('A', 'F'): (0.24999999999999992+0j), ('F',): (-0.24999999999999992+0j), "
+        "(): (0.4999999999999999+0j)}"
+    )
+    assert repr(signature_amplitudes(apply_block(std_net, "A"), ["A", "E", "A"])) == (
+        "{('E', 'A'): 0j, ('E',): (-0.24999999999999992+0j), (): (0.4999999999999999+0j)}"
+    )
+    assert repr(signature_amplitudes(apply_block(std_net, "E"), ["C", "A"])) == (
+        "{('A',): 0j, (): 0j, ('C',): (0.4999999999999999+0j)}"
+    )
+    dark = build_network(std_net.nodes + (Node("D2", DETECTOR),), std_net.arms)
+    assert signature_amplitudes(dark, ["A", "E"], "D2") == {}
+    with pytest.raises(UnknownLabelError, match="no arm carries site label 'Z'"):
+        signature_amplitudes(std_net, ["A", "A", "Z", "Y", "Z"])
+
+    rng = np.random.default_rng(28)
+    for seed in range(40):
+        net = with_absent_couplings(np.random.default_rng(5000 + seed))[0]
+        sites = sorted(net.site_labels())
+        for det in net.detectors:
+            wanted = set(sites[::2])
+            classes = signature_amplitudes(net, sorted(wanted), det)
+            routes = {tuple(s for s in p.sites if s in wanted) for p in enumerate_paths(net, det).paths}
+            assert classes.keys() == routes, (seed, det)
+            shuffled = [str(s) for s in rng.permutation(sorted(wanted) * 2)]
+            assert repr(signature_amplitudes(net, shuffled, det)) == repr(classes), (seed, det)
 
 
 def test_propagation_is_the_unprobed_signature_pass(std_net):

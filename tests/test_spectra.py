@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dead_branch_scenario, kernel_calls, make_dark_port_mzi
+import readout_ref
+from conftest import (
+    dead_branch_scenario,
+    kernel_calls,
+    make_dark_port_mzi,
+    uneven_runs_network,
+    with_absent_couplings,
+)
 from weaktrace import (
     ModulationPlan,
     NoiseModel,
@@ -32,7 +40,7 @@ from weaktrace import (
     weakval,
 )
 from weaktrace.errors import DegeneratePointerError, TooManyRoutesError, UnknownLabelError
-from weaktrace.netgraph import BEAM_SPLITTER, DETECTOR, SINK, SOURCE, Arm, Node, build_network
+from weaktrace.netgraph import BEAM_SPLITTER, DETECTOR, MIRROR, SINK, SOURCE, Arm, Node, build_network
 from weaktrace.scenario import (
     BlockingExperiment,
     SpectralExperiment,
@@ -722,6 +730,7 @@ def test_signature_pass_is_bounded(std_net, monkeypatch):
     sites = [sm.site for sm in default_plan().sites]
     monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 21)
     assert len(signature_amplitudes(std_net, sites)) == 3
+    readout_timeseries(std_net, default_plan(0.01, 256), sigma=1.0)
     monkeypatch.setattr(pathsum, "MAX_ROUTE_STEPS", 20)
     with pytest.raises(TooManyRoutesError):
         readout_timeseries(std_net, default_plan(0.01, 256), sigma=1.0)
@@ -840,6 +849,74 @@ def test_wide_readout_takes_the_series(monkeypatch):
         sm.delta * w[sm.site].real * np.sin(2 * np.pi * sm.bin * k / 1024) for sm in plan.sites
     )
     assert np.max(np.abs(xbar - first)) < 1e-3 * np.max(np.abs(first))
+
+
+def _long_chain_stage(net, depth, rng):
+    """``net`` with the arm that leaves its source replaced by a Mach-Zehnder
+    stage whose two arms each run through ``depth`` labeled arms: the probed
+    sites outnumber the bits of an int64 while the classes only double."""
+    (first,) = [a for a in net.arms if a.from_node == net.source]
+    nodes = [*net.nodes, Node("CK", SINK)]
+    nodes += [Node(j, BEAM_SPLITTER, scatter=random_unitary_2x2(rng)) for j in ("CA", "CB")]
+    arms = [a for a in net.arms if a is not first]
+    arms += [
+        Arm("c_in", net.source, 0, "CA", 0),
+        Arm("c_out", "CB", 0, first.to_node, first.to_port),
+        Arm("c_dump", "CB", 1, "CK", 0),
+    ]
+    for port, side in ((0, "u"), (1, "d")):
+        mirrors = [f"C{side}{i}" for i in range(depth - 1)]
+        nodes += [Node(m, MIRROR) for m in mirrors]
+        ends = [("CA", port), *((m, 0) for m in mirrors), ("CB", port)]
+        arms += [
+            Arm(f"c{side}{i}", *a, *b, label=f"c{side}{i}", static_phase=float(rng.uniform(0.0, 6.0)))
+            for i, (a, b) in enumerate(zip(ends, ends[1:]))
+        ]
+    return build_network(nodes, arms)
+
+
+def test_mask_readout_is_the_tuple_keyed_readout(monkeypatch):
+    """The readout keys its classes by int masks and unpacks their bits in
+    numpy; the tuple-keyed readout of ``readout_ref`` gives the same bits,
+    signs of zero included, on random, absent-coupling and uneven-run
+    networks, on both kernels, and with more probed sites than an int64
+    has bits, in plans that list the sites in random order."""
+    series = kernel_calls(monkeypatch, "_moment_sums")
+    rng = np.random.default_rng(2028)
+    nets = [random_layered_network(np.random.default_rng(seed), 10) for seed in range(30)]
+    nets += [with_absent_couplings(np.random.default_rng(5000 + seed))[0] for seed in range(30)]
+    nets += [uneven_runs_network(np.random.default_rng(7000 + seed)) for seed in range(30)]
+    nets += [
+        _long_chain_stage(random_layered_network(np.random.default_rng(seed), 10), 36, rng)
+        for seed in range(8)
+    ]
+    taken = []
+    for net in nets:
+        sites = [str(s) for s in rng.permutation(sorted(net.site_labels()))]
+        for depth in (0.003, 0.3):
+            bins = rng.choice(np.arange(1, 128), size=len(sites), replace=False)
+            plan = ModulationPlan(
+                sites=tuple(
+                    SiteModulation(s, float(rng.uniform(0.0, depth)), int(b)) for s, b in zip(sites, bins)
+                ),
+                samples=256,
+            )
+            for det in net.detectors:
+                try:
+                    ref = readout_ref.readout_timeseries(net, plan, 0.7, det)
+                except DegeneratePointerError as exc:
+                    with pytest.raises(DegeneratePointerError) as err:
+                        readout_timeseries(net, plan, 0.7, det)
+                    assert str(err.value) == str(exc)
+                    continue
+                n_series = len(series)
+                got = readout_timeseries(net, plan, 0.7, det)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], (sites, det)
+                # (past an int64, kernel) of each readout: the series if it ran
+                taken.append((len(sites) > 64, len(series) > n_series))
+    counts = Counter(taken)
+    assert len(taken) >= 200
+    assert all(counts[wide, on_series] >= 10 for wide in (False, True) for on_series in (False, True)), counts
 
 
 def test_blocking_suite_config_refuses_an_unknown_name(std_net):

@@ -356,6 +356,20 @@ def test_kernels_agree_at_the_switch_points(seed, t, side):
     assert np.max(np.abs(series_num - pair_num)) <= 1e-13 * scale * reach
 
 
+def test_kernels_take_strided_amplitudes():
+    # every other entry of a longer array, as a caller may slice it: the
+    # series views the amplitudes as (K, 2) floats, so it reads a copy
+    amps, disp = _kernel_case(11, 20, 1e-4)
+    wide = np.zeros(40, dtype=complex)
+    wide[::2] = amps
+    for cut in (disp, disp[:, :3]):
+        k = cut.shape[1]
+        expected = weakval.post_selected_mean(amps[:k], cut)
+        assert [a.tobytes() for a in weakval.post_selected_mean(wide[: 2 * k : 2], cut)] == [
+            a.tobytes() for a in expected
+        ]
+
+
 def test_series_order_bounds_the_remainder():
     # the first M with t^M / M! * e^t <= 1e-18
     assert weakval._series_order(0.0) == 1
